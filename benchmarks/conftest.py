@@ -4,22 +4,22 @@ Each ``bench_figNN_*.py`` regenerates one figure of the paper's evaluation
 (section 5) and asserts its qualitative shape — who wins, by roughly what
 factor — as catalogued in DESIGN.md and EXPERIMENTS.md.
 
-The Phase-1 table is expensive (~30 s), so it is built once and cached both
-in memory and on disk under ``benchmarks/.cache/``.  Simulated durations can
-be scaled with the ``PROTEMP_BENCH_DURATION`` environment variable
-(seconds; default 40).
+The Phase-1 table is built once per pytest run by a
+:class:`~repro.scenario.ScenarioRunner` and cached on disk under
+``benchmarks/.cache/``.  Simulated durations can be scaled with the
+``PROTEMP_BENCH_DURATION`` environment variable (seconds; default 40).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import cached_table
+from repro.analysis.experiments import NIAGARA_SPEC, PROTEMP_SPEC
 from repro.platform import Platform
+from repro.scenario import ScenarioRunner
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 
@@ -38,9 +38,9 @@ def platform() -> Platform:
 @pytest.fixture(scope="session")
 def table(platform):
     """The default Phase-1 table (disk-cached across benchmark runs)."""
-    return cached_table(
-        platform, cache_path=CACHE_DIR / "niagara8_table.json"
-    )
+    runner = ScenarioRunner(table_cache_dir=CACHE_DIR)
+    runner.prime_platform(NIAGARA_SPEC, platform)
+    return runner.table(NIAGARA_SPEC, PROTEMP_SPEC)[0]
 
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -62,15 +62,3 @@ def save_result(slug: str, text: str) -> None:
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{slug}.txt").write_text(text.rstrip() + "\n")
-
-
-def save_json_result(slug: str, payload: dict) -> None:
-    """Persist a machine-readable result next to the text one.
-
-    CI uploads these as artifacts so run-over-run numbers can be compared
-    without parsing the human-oriented text reports.
-    """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{slug}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.cache import DEFAULT_F_GRID
 from repro.control import BasicDFSPolicy, ProTempPolicy, ThermalManagementUnit
 from repro.core import ProTempOptimizer, build_frequency_table
 from repro.core.table import FrequencyTable
 from repro.platform import Platform
 from repro.power import LeakageModel
+from repro.scenario.specs import DEFAULT_F_GRID
 from repro.sim import MulticoreSimulator, SimulationConfig
 from repro.thermal.sensors import IdealSensor, NoisySensor
 from repro.units import mhz, to_mhz

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.cache import cached_table
 from repro.analysis.report import format_band_bars, format_table
 from repro.control import DFSPolicy, ThermalManagementUnit
 from repro.core.table import FrequencyTable
@@ -99,29 +98,22 @@ def _figure_runner(
 ) -> tuple[ScenarioRunner, Platform]:
     """A ScenarioRunner primed with the caller's pre-built artifacts.
 
-    When `table` is None but a table-driven policy is in the grid, the
-    shared `repro.analysis.cache.cached_table` build is primed in, so
-    repeated figure runs in one process reuse a single Phase-1 table.
+    When `table` is None, a table-driven policy's table comes from the
+    runner's own cache (`ScenarioRunner.table`, a gen2 build) the first
+    time a scenario needs it.
 
     `outcome_store` (an `repro.scenario.store.OutcomeStore` or directory
     path) lets summary-level figures replay already-computed scenarios
-    instead of re-simulating them; the shared table is primed *lazily*, so
-    a figure whose every cell replays never pays the Phase-1 build.
+    instead of re-simulating them; a replay never resolves a table, so a
+    figure whose every cell replays never pays the Phase-1 build.
     """
     platform = platform or make_platform()
     runner = ScenarioRunner(outcome_store=outcome_store)
     runner.prime_platform(NIAGARA_SPEC, platform)
-    table_specs = [
-        spec for spec in policy_specs if POLICIES.get(spec.name).needs_table
-    ]
     if table is not None:
-        for spec in table_specs:
-            runner.prime_table(NIAGARA_SPEC, spec, table)
-    else:
-        for spec in table_specs:
-            runner.prime_table_lazy(
-                NIAGARA_SPEC, spec, lambda: cached_table(platform)
-            )
+        for spec in policy_specs:
+            if POLICIES.get(spec.name).needs_table:
+                runner.prime_table(NIAGARA_SPEC, spec, table)
     return runner, platform
 
 

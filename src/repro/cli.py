@@ -60,7 +60,6 @@ from pathlib import Path
 
 from repro.analysis import (
     ascii_plot,
-    cached_table,
     make_platform,
     run_assignment_effect,
     run_band_comparison,
@@ -70,6 +69,7 @@ from repro.analysis import (
     run_snapshot,
     run_waiting_comparison,
 )
+from repro.analysis.experiments import NIAGARA_SPEC, PROTEMP_SPEC
 from repro.errors import OutcomeStoreError, ScenarioError, did_you_mean
 from repro.scenario import (
     ASSIGNMENTS,
@@ -220,11 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=7, help="workload random seed"
     )
     parser.add_argument(
-        "--table-cache",
-        default=None,
-        help="JSON file for caching the Phase-1 table",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -233,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--table-cache-dir",
         default=None,
-        help="directory of persistent Phase-1 table caches for 'run'",
+        help=(
+            "directory of persistent Phase-1 table caches ('run', "
+            "'tournament', 'serve', the figures and 'table')"
+        ),
     )
     parser.add_argument(
         "--shard",
@@ -935,7 +933,6 @@ def _check_command(args: argparse.Namespace) -> int:
         args,
         {
             "--duration": args.duration,
-            "--table-cache": args.table_cache,
             "--workers": args.workers,
             "--table-cache-dir": args.table_cache_dir,
             "--shard": args.shard,
@@ -993,7 +990,6 @@ def _report_command(args: argparse.Namespace) -> int:
         args,
         {
             "--duration": args.duration,
-            "--table-cache": args.table_cache,
             "--workers": args.workers,
             "--table-cache-dir": args.table_cache_dir,
             "--shard": args.shard,
@@ -1061,6 +1057,16 @@ def _snapshot_plot(result) -> str:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if args.table_cache_dir is not None and Path(args.table_cache_dir).is_file():
+        # argparse expands the prefix `--table-cache` to this flag, so a
+        # single-file table cache path lands here too.
+        print(
+            f"protemp {args.experiment}: --table-cache-dir "
+            f"{args.table_cache_dir} is a file; give a directory of "
+            "table caches",
+            file=sys.stderr,
+        )
+        return 2
     if args.experiment == "list":
         return _list_command(args.json)
     started = time.time()
@@ -1091,9 +1097,11 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     platform = make_platform()
+    runner = ScenarioRunner(table_cache_dir=args.table_cache_dir)
+    runner.prime_platform(NIAGARA_SPEC, platform)
 
     def table():
-        return cached_table(platform, cache_path=args.table_cache)
+        return runner.table(NIAGARA_SPEC, PROTEMP_SPEC)[0]
 
     duration = args.duration
     if args.experiment == "fig1":

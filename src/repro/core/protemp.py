@@ -38,14 +38,8 @@ from repro.solver.barrier import (
     BarrierOptions,
     final_stage_weight,
     solve_barrier,
-    solve_barrier_batch,
 )
-from repro.solver.compiled import (
-    BatchedCompiledConstraints,
-    CompiledConstraints,
-    CompiledStructure,
-    blocks_signature,
-)
+from repro.solver.compiled import CompiledConstraints, blocks_signature
 from repro.solver.newton import NewtonOptions
 from repro.solver.problem import (
     BoxConstraint,
@@ -129,21 +123,19 @@ GRADIENT_PRUNE_TAIL = 3
 #: barrier stage start, which the polish absorbs in a few iterations.
 GRADIENT_PRUNE_TIGHTEN = 1e-6
 
-#: Certified worst-case slack error (Celsius) accepted when compressing
-#: the thermal step-response rows into a rank-structured tail (see
-#: `repro.solver.compiled.RankTail`).  Orders of magnitude below the
-#: solver's feasibility margins, and the compressed stack is only ever
-#: used for *pre-final* barrier stages whose hand-off point is re-checked
-#: against the exact stack — so the tolerance bounds wasted work, not
-#: answer accuracy.
-RANK_TAIL_TOL = 1e-9
-
-#: Minimum number of +/- row pairs for the antisymmetry fold to pay for
-#: itself.  The fold halves the gradient-row log count but roughly
-#: doubles the number of numpy dispatches per evaluation; measured on the
-#: Niagara-8 stack, 1400 pairs win ~20% while the pruned pre-solve's
-#: ~360 pairs *lose* ~30% — below this floor the exact rows are faster.
-MIN_FOLD_PAIRS = 1000
+#: KKT stationarity tolerance, relative to ``max(1, |c|_inf)``, that
+#: certifies a pruned cell's polished point.  The polish returns the
+#: center of the cold schedule's final barrier weight ``t``, where
+#: ``c + grad_phi(x) / t`` — the stationarity residual under the
+#: barrier's own multipliers ``1 / (t * slack)`` — is near zero.  A pruned
+#: pre-solve can stall far from the optimum at a point where the
+#: barrier's curvature wall stops Newton's line search; the polish then
+#: "converges" in place and the residual stays large.  Measured on
+#: Niagara-8 (step_subsample 5): 331 correct cells over the default
+#: figure grid and jittered 4x10 grids read <= 2.6e-3.  Stalled cells read
+#: 6.6e5 (100.09 C, 99 MHz: +13.7% power) and 1.1e5 (the three 200 MHz
+#: cells below 100 C of the 4x5 grid at step_subsample 10).
+PRUNED_KKT_TOL = 0.1
 
 
 @dataclass
@@ -329,14 +321,6 @@ class ProTempOptimizer:
         self._boundary_cache: dict[object, tuple[float, np.ndarray] | None] = {}
         self._compiled_cache: dict[tuple, CompiledConstraints] = {}
         self._prune_states: dict[tuple, _PruneState] = {}
-        # Structure plans (antisymmetry fold / rank tail) are matrix-only,
-        # so one plan per problem structure serves every design point; the
-        # pruned variants additionally key on the prune mask (which grows
-        # over a sweep).
-        self._structure_cache: dict[tuple, CompiledStructure | None] = {}
-        self._pruned_structure_cache: dict[
-            tuple, CompiledStructure | None
-        ] = {}
         self._rows_with_grad: np.ndarray | None = None
         self._grad_rows_matrix: np.ndarray | None = None
 
@@ -348,8 +332,8 @@ class ProTempOptimizer:
         Long-lived closed-loop users (the MPC policy re-solves at a fresh
         measured temperature every DFS window) would otherwise grow the
         per-start caches without bound — every window's start key is new.
-        The structure-level caches (compiled stacks, structure plans),
-        which depend only on the platform, are kept.
+        The structure-level caches (compiled stacks and prune states,
+        keyed by problem structure rather than design point) are kept.
         """
         self._stacked_cache.clear()
         self._gradient_cache.clear()
@@ -407,112 +391,6 @@ class ProTempOptimizer:
             return template
         return template.with_blocks(blocks)
 
-    def _structure_for(
-        self, compiled: CompiledConstraints, blocks: list
-    ) -> CompiledStructure | None:
-        """Structure plan for the full stack (fold + rank tail), memoized.
-
-        The pairwise-gradient rows come in exact +/- mirror pairs (row
-        ``(i, j)`` is the negation of row ``(j, i)`` plus the shared
-        ``t_grad`` column), and the thermal step-response rows converge
-        geometrically to steady state — both are properties of the shared
-        matrix part, so the plan is built once per problem structure.
-        Every exploitable property is *re-validated* by the structure
-        constructors (bit-exact fold reconstruction; certified tail error
-        bound), so a layout assumption that does not hold simply yields a
-        smaller plan or None, never a wrong answer.
-        """
-        key = compiled.signature
-        if key in self._structure_cache:
-            return self._structure_cache[key]
-        n = self.platform.n_cores
-        n_vars = compiled.n_vars
-        steps = len(self.response.steps)
-        linear_counts = [
-            block.a.shape[0]
-            for block in blocks
-            if isinstance(block, LinearInequality)
-        ]
-        thermal_rows = linear_counts[0] if linear_counts else 0
-        gradient_rows = linear_counts[1] if len(linear_counts) > 1 else 0
-
-        # Ordered pairs are laid out pair-major, step-minor with pair
-        # index P(i, j) = i*(n-1) + (j if j < i else j-1).
-        pair_plus = pair_minus = None
-        if n > 1 and steps > 0 and gradient_rows == steps * n * (n - 1):
-            arange = np.arange(steps)
-            plus_parts, minus_parts = [], []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    p_ij = i * (n - 1) + (j - 1)
-                    p_ji = j * (n - 1) + i
-                    plus_parts.append(thermal_rows + p_ij * steps + arange)
-                    minus_parts.append(thermal_rows + p_ji * steps + arange)
-            pair_plus = np.concatenate(plus_parts)
-            pair_minus = np.concatenate(minus_parts)
-
-        tail_kwargs: dict = {}
-        if thermal_rows and steps >= 2 and thermal_rows % steps == 0:
-            x_bound = np.full(n_vars, self.platform.power.p_max)
-            if n_vars == n + 1:
-                x_bound[n] = (
-                    self.t_grad_cap
-                    if self.t_grad_cap is not None
-                    else T_GRAD_CEILING
-                )
-            tail_kwargs = dict(
-                tail_rows=np.arange(thermal_rows),
-                tail_steps=steps,
-                tail_groups=thermal_rows // steps,
-                x_bound=x_bound,
-                tail_tol=RANK_TAIL_TOL,
-            )
-        structure = CompiledStructure.build(
-            compiled.a,
-            pair_plus=pair_plus,
-            pair_minus=pair_minus,
-            **tail_kwargs,
-        )
-        self._structure_cache[key] = structure
-        return structure
-
-    def _pruned_structure_for(
-        self,
-        state: _PruneState,
-        compiled: CompiledConstraints,
-        blocks: list,
-        pruned,
-    ) -> CompiledStructure | None:
-        """Fold-only structure plan for a pruned stack (or None), memoized.
-
-        The prune mask keeps the same step subsample for both members of
-        every +/- gradient pair, so the fold survives pruning; the rank
-        tail does not (its step blocks are no longer contiguous), and the
-        pruned stack is small enough that the exact rows win anyway.  The
-        fold is exact algebra, so it is safe on every stage of the pruned
-        pre-solve — the full-stack polish restores cold agreement
-        regardless.
-        """
-        key = (compiled.signature, state.mask.tobytes())
-        if key in self._pruned_structure_cache:
-            return self._pruned_structure_cache[key]
-        structure = None
-        full = self._structure_for(compiled, blocks)
-        if full is not None and full.fold is not None:
-            mask = state.mask
-            position = np.cumsum(mask) - 1
-            sel = mask[full.fold.plus] & mask[full.fold.minus]
-            # Folding only pays on big stacks; the pruned stack's surviving
-            # pair count is usually far below the break-even point.
-            if int(sel.sum()) >= MIN_FOLD_PAIRS:
-                structure = CompiledStructure.build(
-                    pruned.a,
-                    pair_plus=position[full.fold.plus[sel]],
-                    pair_minus=position[full.fold.minus[sel]],
-                )
-        self._pruned_structure_cache[key] = structure
-        return structure
-
     # -- public API -----------------------------------------------------------
 
     def solve(
@@ -524,7 +402,6 @@ class ProTempOptimizer:
         warm_from: FrequencyAssignment | None = None,
         prune: bool = False,
         warm_schedule: bool = False,
-        structure: bool = False,
     ) -> FrequencyAssignment:
         """Optimal frequency assignment for one design point.
 
@@ -559,14 +436,6 @@ class ProTempOptimizer:
                 the neighbor's constraint duals — instead of
                 ``t_initial``, skipping the early centering stages that a
                 near-optimal start does not need.  Requires `warm_from`.
-            structure: evaluate pre-final barrier stages through the
-                structure-exploiting kernels (antisymmetry-folded gradient
-                rows, rank-compressed thermal tail — see
-                :meth:`_structure_for`); the final stage always runs on
-                the exact stack and the hand-off point is verified against
-                it, so results agree with the unstructured solve to Newton
-                tolerance.  Only active with the accelerated barrier
-                backend.
 
         Returns:
             A :class:`FrequencyAssignment` (``feasible=False`` when the
@@ -582,7 +451,6 @@ class ProTempOptimizer:
             warm_from=warm_from,
             prune=prune,
             warm_schedule=warm_schedule,
-            structure=structure,
         )
 
     def is_feasible(
@@ -891,7 +759,6 @@ class ProTempOptimizer:
         warm_from: FrequencyAssignment | None = None,
         prune: bool = False,
         warm_schedule: bool = False,
-        structure: bool = False,
     ) -> FrequencyAssignment:
         platform = self.platform
         n = platform.n_cores
@@ -932,11 +799,6 @@ class ProTempOptimizer:
             result = solve_scipy(objective, blocks, warm)
         else:
             compiled = self._compiled_for(blocks, n_vars)
-            stage_compiled = None
-            if structure and compiled is not None:
-                st = self._structure_for(compiled, blocks)
-                if st is not None:
-                    stage_compiled = compiled.with_structure(st)
             result = None
             if warm is not None:
                 prepared = self._prepare_warm(
@@ -962,7 +824,7 @@ class ProTempOptimizer:
                     if prune and compiled is not None:
                         result = self._solve_pruned(
                             t_start, objective, blocks, compiled, warm,
-                            warm_violation, hint, structure=structure,
+                            warm_violation, hint,
                         )
                     if result is None:
                         result = solve_barrier(
@@ -970,7 +832,6 @@ class ProTempOptimizer:
                             compiled=compiled,
                             initial_violation=warm_violation,
                             t_start_hint=hint,
-                            stage_compiled=stage_compiled,
                         )
                         if not result.ok:
                             # A stalled warm solve must not misclassify the
@@ -998,7 +859,6 @@ class ProTempOptimizer:
                 result = solve_barrier(
                     objective, blocks, start, self.barrier_options,
                     compiled=compiled,
-                    stage_compiled=stage_compiled,
                 )
             if prune and compiled is not None and result.ok:
                 self._note_active_rows(
@@ -1288,7 +1148,6 @@ class ProTempOptimizer:
         warm: np.ndarray,
         warm_violation: float,
         hint: float | None,
-        structure: bool = False,
     ):
         """Pruned-stack pre-solve plus full-stack polish (or None).
 
@@ -1302,7 +1161,8 @@ class ProTempOptimizer:
         full stack at the cold schedule's final barrier weight, so the
         returned point is the same analytic center a cold solve terminates
         at (agreement to Newton tolerance, not merely the duality-gap
-        bound).
+        bound).  The polished point must also pass a KKT stationarity
+        certificate (:data:`PRUNED_KKT_TOL`) to be accepted.
         """
         state = self._prune_state_for(compiled, blocks)
         if not state.thermal_seeded and not self._seed_thermal_from_boundary(
@@ -1313,18 +1173,7 @@ class ProTempOptimizer:
         start, stop = state.kept_gradient_span()
         if stop > start:
             # `prune_linear_rows` copied b, so this tightening is local.
-            # It must happen *before* the structure is attached below:
-            # `with_structure` snapshots the partitioned RHS.
             pruned.b[start:stop] -= GRADIENT_PRUNE_TIGHTEN
-        if structure:
-            fold_only = self._pruned_structure_for(
-                state, compiled, blocks, pruned
-            )
-            if fold_only is not None:
-                # The fold is exact algebra, so the whole pre-solve may run
-                # on it (no hand-off check needed); the full-stack polish
-                # below restores cold agreement either way.
-                pruned = pruned.with_structure(fold_only)
         pruned_violation = warm_violation
         if stop > start:
             # The full-stack `warm_violation` no longer bounds the
@@ -1352,15 +1201,24 @@ class ProTempOptimizer:
         )
         if x_start is None:
             return None
+        t_final = final_stage_weight(
+            total_constraints(blocks), self._warm_options
+        )
         polish = solve_barrier(
             objective, blocks, x_start, self._warm_options,
             compiled=compiled,
             initial_violation=compiled.max_violation(x_start),
-            t_start_hint=final_stage_weight(
-                total_constraints(blocks), self._warm_options
-            ),
+            t_start_hint=t_final,
         )
         if not polish.ok:
+            return None
+        c = objective.c
+        residual = c + compiled.barrier_gradient(polish.x) / t_final
+        if not np.max(np.abs(residual)) <= PRUNED_KKT_TOL * max(
+            1.0, float(np.max(np.abs(c)))
+        ):
+            # Not the stage center: the pre-solve stalled and the polish
+            # kept its point (see PRUNED_KKT_TOL).  Take the exact path.
             return None
         polish.iterations += pre.iterations
         return polish
@@ -1420,564 +1278,6 @@ class ProTempOptimizer:
                 slacks < self.prune_slack_margin
             )
         state.thermal_seeded = True
-
-    # -- batched multi-cell solves ----------------------------------------------
-
-    def solve_batch(
-        self,
-        t_starts: list[float],
-        f_target: float,
-        warm_from: list[FrequencyAssignment | None],
-        *,
-        prune: bool = False,
-        warm_schedule: bool = False,
-        structure: bool = False,
-    ) -> list[FrequencyAssignment | None]:
-        """Solve several same-column design points against one shared stack.
-
-        The batched counterpart of :meth:`solve` for the table sweep's
-        column walk: all cells share the compiled constraint matrix and
-        the sqrt target, differing only in right-hand sides, so their
-        barriers are evaluated together through
-        `repro.solver.compiled.BatchedCompiledConstraints` (one set of
-        matrix products per Newton iteration for the whole batch).
-
-        Cells the batch cannot serve — no strictly feasible warm start,
-        a failed pruned pre-solve, a stalled stage — come back as ``None``
-        and must be re-solved serially by the caller; results are
-        otherwise identical to per-cell :meth:`solve` calls (the batch
-        runs the same schedule, tolerances and polish).
-
-        Args:
-            t_starts: per-cell starting temperatures (scalars).
-            f_target: the shared frequency target (Hz).
-            warm_from: per-cell neighboring assignments supplying warm
-                starts (None or infeasible entries fall back to serial).
-            prune: per-cell sparse pruning, as in :meth:`solve`.
-            warm_schedule: shared increasing-``t_initial`` schedule (the
-                most conservative of the per-cell estimates).
-            structure: structure-exploiting pre-final stages, as in
-                :meth:`solve`.
-
-        Returns:
-            Per-cell :class:`FrequencyAssignment` or ``None``, in order.
-        """
-        batch = len(t_starts)
-        if len(warm_from) != batch:
-            raise SolverError("warm_from must match t_starts in length")
-        results: list[FrequencyAssignment | None] = [None] * batch
-        if (
-            self.mode != "variable"
-            or self.backend != "barrier"
-            or not self.accelerated
-            or batch < 2
-        ):
-            return results
-        self._check_target(f_target)
-        n = self.platform.n_cores
-        opts = self._warm_options
-
-        cells = []
-        for t_start in t_starts:
-            blocks, n_vars = self._variable_blocks(float(t_start), f_target)
-            cells.append((blocks, self._compiled_for(blocks, n_vars)))
-        n_vars = cells[0][1].n_vars
-        with_grad = n_vars == n + 1
-        c = np.ones(n_vars)
-        if with_grad:
-            c[n] = self.gradient_weight if self.minimize_gradient else 0.0
-
-        try:
-            batched = BatchedCompiledConstraints.from_cells(
-                [compiled for _blocks, compiled in cells]
-            )
-        except SolverError:
-            return results
-        st = (
-            self._structure_for(cells[0][1], cells[0][0])
-            if structure
-            else None
-        )
-
-        live = []
-        columns = []
-        comfort = []
-        for j, assignment in enumerate(warm_from):
-            if (
-                assignment is None
-                or not assignment.feasible
-                or assignment.solver_x is None
-            ):
-                continue
-            warm = np.asarray(assignment.solver_x, dtype=float)
-            if warm.shape != (n_vars,):
-                continue
-            prepared = self._prepare_warm(
-                cells[j][0], cells[j][1], warm, n_vars, f_target
-            )
-            if prepared is None:
-                continue
-            live.append(j)
-            columns.append(prepared[0])
-            comfort.append(prepared[1])
-        if len(live) < 2:
-            return results
-        live = np.asarray(live, dtype=int)
-        x = np.column_stack(columns)
-
-        hint = None
-        if warm_schedule:
-            hints = [
-                self._warm_stage_hint(
-                    float(t_starts[j]), f_target, warm_from[j],
-                    cells[j][0], cells[j][1], x[:, k],
-                )
-                if comfort[k] < -WARM_HINT_MARGIN
-                else None
-                for k, j in enumerate(live)
-            ]
-            if all(h is not None for h in hints):
-                hint = min(hints)
-
-        solved: list = []
-        pre_iterations = np.zeros(live.size, dtype=int)
-        state = (
-            self._prune_state_for(cells[0][1], cells[0][0]) if prune else None
-        )
-        if state is not None and not state.thermal_seeded:
-            for t_start in t_starts:
-                self._seed_thermal_from_boundary(state, float(t_start))
-        try:
-            if state is not None and state.thermal_seeded:
-                pruned = batched.prune_linear_rows(state.mask).select(live)
-                start, stop = state.kept_gradient_span()
-                if stop > start:
-                    # Row-mask then column indexing both copied b.  Tighten
-                    # before attaching the structure: `with_structure`
-                    # snapshots the partitioned RHS.
-                    pruned.b[start:stop, :] -= GRADIENT_PRUNE_TIGHTEN
-                if st is not None:
-                    fold_only = self._pruned_structure_for(
-                        state, cells[0][1], cells[0][0], pruned
-                    )
-                    if fold_only is not None:
-                        pruned = pruned.with_structure(fold_only)
-                # A column whose capped t_grad lift left it inside the
-                # tightening band would abort the whole batched solve;
-                # filter it to the serial fallback and keep the rest.
-                interior = (
-                    pruned.max_violation(x, np.arange(live.size))
-                    < -opts.feasibility_margin
-                )
-                if not bool(interior.all()):
-                    live = live[interior]
-                    x = x[:, interior]
-                    if live.size == 0:
-                        return results
-                    pruned = pruned.select(np.nonzero(interior)[0])
-                pre = solve_barrier_batch(
-                    c, pruned, x, opts, t_start_hint=hint
-                )
-                keep: list[int] = []
-                columns = []
-                kept_iterations = []
-                for k, result in enumerate(pre):
-                    j = int(live[k])
-                    start = (
-                        self._accept_pruned_solution(
-                            state, cells[j][1], cells[j][0], result.x
-                        )
-                        if result.ok
-                        else None
-                    )
-                    if start is None:
-                        # Dropped rows bind for this cell: the serial
-                        # fallback takes it (the active set has grown).
-                        continue
-                    keep.append(j)
-                    columns.append(start)
-                    kept_iterations.append(result.iterations)
-                if not keep:
-                    return results
-                live = np.asarray(keep, dtype=int)
-                x = np.column_stack(columns)
-                pre_iterations = np.asarray(kept_iterations, dtype=int)
-                hint = final_stage_weight(batched.count(), opts)
-            final = batched.select(live)
-            solved = solve_barrier_batch(
-                c, final, x, opts, t_start_hint=hint,
-                stage_batched=(
-                    final.with_structure(st) if st is not None else None
-                ),
-            )
-        except SolverError:
-            return results
-
-        for k, (j, result) in enumerate(zip(live, solved)):
-            if not result.ok or not self._plausible_optimum(
-                result.x, f_target
-            ):
-                continue
-            result.iterations += int(pre_iterations[k])
-            if state is not None:
-                self._note_active_rows(state, cells[j][1], result.x)
-            results[j] = self._assignment_from_result(
-                float(t_starts[j]), f_target, result
-            )
-        return results
-
-    # -- wavefront row solves ----------------------------------------------------
-
-    def solve_wave(
-        self,
-        t_start: float,
-        f_targets: list[float],
-        warm_from: list[FrequencyAssignment | None],
-        *,
-        prune: bool = False,
-        warm_schedule: bool = False,
-        structure: bool = False,
-    ) -> list[FrequencyAssignment | None]:
-        """Solve one temperature row's cells in a few large lockstep batches.
-
-        The wavefront counterpart of :meth:`solve_batch`: where that
-        method batches *same-frequency* cells across temperatures, this
-        one batches a whole temperature *row* (one ``t_start``, many
-        ``f_target`` columns) — the batched stack supports per-cell sqrt
-        targets, so the entire row advances through each barrier stage in
-        lockstep, amortizing per-stage dispatch over a batch the size of
-        the frequency grid instead of the (much shorter) temperature
-        grid.
-
-        Cells split into two lockstep groups (schedules are shared within
-        a batch, so warm and cold cells cannot ride together):
-
-        * **warm** — cells whose hotter-row neighbor supplies a strictly
-          feasible start (via :meth:`_prepare_warm`); solved on the warm
-          schedule, optionally through the pruned pre-solve + polish.
-        * **cold** — the rest, typically the hottest row of a sweep;
-          boundary-checked against the row's feasibility boundary (cells
-          beyond it are returned infeasible immediately, matching the
-          serial path), then solved from blended interior starts on the
-          full cold schedule.
-
-        Cells the batches cannot serve come back ``None`` for the
-        caller's serial fallback; results are otherwise the same solves
-        :meth:`solve` performs, sharing schedules, tolerances, pruning
-        and polish.
-
-        Args:
-            t_start: the row's starting temperature (scalar).
-            f_targets: per-cell frequency targets (Hz); ``0`` cells fall
-                back to serial (their stack has no sqrt block, so they
-                cannot share the batch).
-            warm_from: per-cell hotter-row assignments (None entries join
-                the cold group).
-            prune: sparse pruning for the warm group, as in :meth:`solve`.
-            warm_schedule: accelerated stage hint for the warm group (the
-                most conservative of the per-cell estimates).
-            structure: structure-exploiting pre-final stages, as in
-                :meth:`solve`.
-
-        Returns:
-            Per-cell :class:`FrequencyAssignment` or ``None``, in order.
-        """
-        batch = len(f_targets)
-        if len(warm_from) != batch:
-            raise SolverError("warm_from must match f_targets in length")
-        results: list[FrequencyAssignment | None] = [None] * batch
-        if (
-            self.mode != "variable"
-            or self.backend != "barrier"
-            or not self.accelerated
-            or batch == 0
-        ):
-            return results
-        n = self.platform.n_cores
-
-        cells: list[tuple[list, CompiledConstraints] | None] = []
-        usable: list[int] = []
-        for j, f_target in enumerate(f_targets):
-            self._check_target(float(f_target))
-            if f_target <= 0:
-                cells.append(None)
-                continue
-            blocks, n_vars = self._variable_blocks(
-                float(t_start), float(f_target)
-            )
-            compiled = self._compiled_for(blocks, n_vars)
-            if compiled is None:
-                cells.append(None)
-                continue
-            cells.append((blocks, compiled))
-            usable.append(j)
-        if not usable:
-            return results
-        first = cells[usable[0]]
-        assert first is not None
-        n_vars = first[1].n_vars
-        with_grad = n_vars == n + 1
-        c = np.ones(n_vars)
-        if with_grad:
-            c[n] = self.gradient_weight if self.minimize_gradient else 0.0
-        st = self._structure_for(first[1], first[0]) if structure else None
-
-        warm_js: list[int] = []
-        warm_cols: list[np.ndarray] = []
-        comfort: list[float] = []
-        cold_js: list[int] = []
-        for j in usable:
-            assignment = warm_from[j]
-            prepared = None
-            if (
-                assignment is not None
-                and assignment.feasible
-                and assignment.solver_x is not None
-            ):
-                warm = np.asarray(assignment.solver_x, dtype=float)
-                if warm.shape == (n_vars,):
-                    prepared = self._prepare_warm(
-                        cells[j][0], cells[j][1], warm, n_vars,
-                        float(f_targets[j]),
-                    )
-            if prepared is not None:
-                warm_js.append(j)
-                warm_cols.append(prepared[0])
-                comfort.append(prepared[1])
-            else:
-                cold_js.append(j)
-
-        # Cold group: the row's feasibility boundary classifies infeasible
-        # cells outright (exactly as the serial cold path would) and seeds
-        # the interior starts for the rest.
-        cold_live: list[int] = []
-        cold_cols: list[np.ndarray] = []
-        if cold_js:
-            boundary = self._max_sqrt_solve(float(t_start))
-            for j in cold_js:
-                f_target = float(f_targets[j])
-                if boundary is None:
-                    results[j] = self._infeasible(t_start, f_target)
-                    continue
-                boundary_avg, p_star = boundary
-                if f_target > boundary_avg * (1 - 1e-9):
-                    results[j] = self._infeasible(t_start, f_target)
-                    continue
-                start = self._interior_start(
-                    float(t_start), f_target, p_star, n * boundary_avg
-                )
-                if start is None:
-                    results[j] = self._infeasible(t_start, f_target)
-                    continue
-                cold_live.append(j)
-                cold_cols.append(start)
-
-        state = self._prune_state_for(first[1], first[0]) if prune else None
-        if state is not None and not state.thermal_seeded:
-            self._seed_thermal_from_boundary(state, float(t_start))
-
-        # Cold cascade: a full cold schedule per cell is the dominant cost
-        # of a wavefront row (the hottest row is all-cold).  The serial
-        # sweep pays it only once per row — every other cell warm-starts
-        # from its higher-frequency neighbor, whose optimum is feasible
-        # for any lower target.  Reproduce that here: solve the row's
-        # highest-frequency cold cell alone as the anchor, then solve
-        # every other cold cell whose warm start from the anchor prepares
-        # cleanly as one lockstep "cascade" group.  Cascade cells ride
-        # separately from the hotter-row warm group below: their gap
-        # estimates are far coarser (the anchor optimizes a different
-        # frequency target), and one conservative hint in a lockstep batch
-        # drags every cell down to its schedule.
-        casc_js: list[int] = []
-        casc_cols: list[np.ndarray] = []
-        casc_comfort: list[float] = []
-        anchor: FrequencyAssignment | None = None
-        if len(cold_live) > 1:
-            lead_pos = max(
-                range(len(cold_live)),
-                key=lambda k: float(f_targets[cold_live[k]]),
-            )
-            lead = cold_live.pop(lead_pos)
-            lead_col = cold_cols.pop(lead_pos)
-            self._solve_wave_group(
-                results, cells, c, np.asarray([lead], dtype=int),
-                [lead_col], f_targets, t_start, self.barrier_options,
-                None, st, None,
-            )
-            anchor = results[lead]
-            if (
-                anchor is not None
-                and anchor.feasible
-                and anchor.solver_x is not None
-            ):
-                anchor_x = np.asarray(anchor.solver_x, dtype=float)
-                still_live: list[int] = []
-                still_cols: list[np.ndarray] = []
-                for j, col in zip(cold_live, cold_cols):
-                    prepared = self._prepare_warm(
-                        cells[j][0], cells[j][1], anchor_x, n_vars,
-                        float(f_targets[j]),
-                    )
-                    if prepared is not None:
-                        casc_js.append(j)
-                        casc_cols.append(prepared[0])
-                        casc_comfort.append(prepared[1])
-                    else:
-                        still_live.append(j)
-                        still_cols.append(col)
-                cold_live, cold_cols = still_live, still_cols
-
-        # The remaining cold group mirrors the serial cold path: full
-        # schedule, no pruning (cold solves never prune serially either),
-        # accelerated by the analytic duality-gap bound.
-        self._solve_wave_group(
-            results, cells, c, np.asarray(cold_live, dtype=int), cold_cols,
-            f_targets, t_start, self.barrier_options, None, st, None,
-        )
-
-        opts = self._warm_options
-        if casc_js:
-            casc_hint = None
-            if warm_schedule:
-                hints = [
-                    self._warm_stage_hint(
-                        float(t_start), float(f_targets[j]), anchor,
-                        cells[j][0], cells[j][1], casc_cols[k],
-                    )
-                    if casc_comfort[k] < -WARM_HINT_MARGIN
-                    else None
-                    for k, j in enumerate(casc_js)
-                ]
-                if all(h is not None for h in hints):
-                    casc_hint = min(hints)
-            self._solve_wave_group(
-                results, cells, c, np.asarray(casc_js, dtype=int),
-                casc_cols, f_targets, t_start, opts, casc_hint, st, state,
-            )
-
-        hint = None
-        if warm_schedule and warm_js:
-            hints = [
-                self._warm_stage_hint(
-                    float(t_start), float(f_targets[j]), warm_from[j],
-                    cells[j][0], cells[j][1], warm_cols[k],
-                )
-                if comfort[k] < -WARM_HINT_MARGIN
-                else None
-                for k, j in enumerate(warm_js)
-            ]
-            if all(h is not None for h in hints):
-                hint = min(hints)
-        self._solve_wave_group(
-            results, cells, c, np.asarray(warm_js, dtype=int), warm_cols,
-            f_targets, t_start, opts, hint, st, state,
-        )
-        return results
-
-    def _solve_wave_group(
-        self,
-        results: list,
-        cells: list,
-        c: np.ndarray,
-        live: np.ndarray,
-        columns: list[np.ndarray],
-        f_targets: list[float],
-        t_start: float,
-        opts: BarrierOptions,
-        hint: float | None,
-        st: CompiledStructure | None,
-        state: _PruneState | None,
-    ) -> None:
-        """Solve one wavefront group in lockstep, recording successes.
-
-        Cells that fail anywhere (batch construction, interior filter,
-        pruned acceptance, a stalled stage, implausible optimum) simply
-        stay ``None`` in `results` for the caller's serial fallback.
-        """
-        if live.size == 0:
-            return
-        try:
-            batched = BatchedCompiledConstraints.from_cells(
-                [cells[int(j)][1] for j in live]
-            )
-        except SolverError:
-            return
-        x = np.column_stack(columns)
-        pos = np.arange(live.size)
-        pre_iterations = np.zeros(live.size, dtype=int)
-        try:
-            if state is not None and state.thermal_seeded:
-                pruned = batched.prune_linear_rows(state.mask)
-                g_start, g_stop = state.kept_gradient_span()
-                if g_stop > g_start:
-                    # Tighten before attaching the structure:
-                    # `with_structure` snapshots the partitioned RHS.
-                    pruned.b[g_start:g_stop, :] -= GRADIENT_PRUNE_TIGHTEN
-                if st is not None:
-                    j0 = int(live[0])
-                    fold_only = self._pruned_structure_for(
-                        state, cells[j0][1], cells[j0][0], pruned
-                    )
-                    if fold_only is not None:
-                        pruned = pruned.with_structure(fold_only)
-                interior = (
-                    pruned.max_violation(x, np.arange(pos.size))
-                    < -opts.feasibility_margin
-                )
-                if not bool(interior.all()):
-                    pos = pos[interior]
-                    x = x[:, interior]
-                    if pos.size == 0:
-                        return
-                    pruned = pruned.select(np.nonzero(interior)[0])
-                pre = solve_barrier_batch(
-                    c, pruned, x, opts, t_start_hint=hint
-                )
-                keep: list[int] = []
-                polish_cols: list[np.ndarray] = []
-                kept_iterations: list[int] = []
-                for k, result in enumerate(pre):
-                    j = int(live[int(pos[k])])
-                    polish_start = (
-                        self._accept_pruned_solution(
-                            state, cells[j][1], cells[j][0], result.x
-                        )
-                        if result.ok
-                        else None
-                    )
-                    if polish_start is None:
-                        continue
-                    keep.append(int(pos[k]))
-                    polish_cols.append(polish_start)
-                    kept_iterations.append(result.iterations)
-                if not keep:
-                    return
-                pos = np.asarray(keep, dtype=int)
-                x = np.column_stack(polish_cols)
-                pre_iterations = np.asarray(kept_iterations, dtype=int)
-                hint = final_stage_weight(batched.count(), opts)
-            final = batched if pos.size == live.size else batched.select(pos)
-            solved = solve_barrier_batch(
-                c, final, x, opts, t_start_hint=hint,
-                stage_batched=(
-                    final.with_structure(st) if st is not None else None
-                ),
-            )
-        except SolverError:
-            return
-        for k, (p, result) in enumerate(zip(pos, solved)):
-            j = int(live[int(p)])
-            f_target = float(f_targets[j])
-            if not result.ok or not self._plausible_optimum(
-                result.x, f_target
-            ):
-                continue
-            result.iterations += int(pre_iterations[k])
-            if state is not None:
-                self._note_active_rows(state, cells[j][1], result.x)
-            results[j] = self._assignment_from_result(
-                float(t_start), f_target, result
-            )
 
     # -- helpers ---------------------------------------------------------------
 

@@ -26,9 +26,10 @@ management unit:
    window (zero frequency), the maximally safe fallback.
 
 **Sweep strategies.**  :func:`build_frequency_table` drives the sweep
-through an explicit :class:`SweepStrategy` — row order, warm-start policy,
-constraint pruning and batching are independent switches rather than
-interleaved flags:
+through an explicit :class:`SweepStrategy`.  Every sweep first solves each
+row's feasibility boundary (one convex solve per row) and marks cells above
+it infeasible without running the full optimization; row order,
+warm-start policy and constraint pruning are independent switches on top:
 
 * *within-row warm starts* (``warm_start``) — each row is walked from the
   highest frequency column downward and every cell warm-starts from its
@@ -49,43 +50,28 @@ interleaved flags:
   thermal step rows never are), then the full stack re-checks the result:
   any violation grows the active set and falls back to the exact path,
   and accepted solutions are polished on the full stack at the cold
-  schedule's final barrier weight, so agreement with unpruned solves is
-  preserved to Newton tolerance;
+  schedule's final barrier weight and certified there by their KKT
+  stationarity residual, so agreement with unpruned solves is preserved
+  to Newton tolerance;
 * *warm barrier schedules* (``warm_schedule``) — warm-started cells begin
   the barrier schedule at ``m / (estimated duality gap)`` instead of
   ``t_initial``, skipping centering stages a near-optimal start does not
   need (the start weight is snapped to the cold schedule's geometric grid
-  so both paths finish at the same analytic center);
-* *batched multi-cell solves* (``batch_rows``) — the sweep walks columns
-  instead of rows and solves every temperature row's cell of a column in
-  lockstep against one shared constraint matrix
-  (`repro.core.protemp.ProTempOptimizer.solve_batch`);
-* *structure-exploiting kernels* (``structure``) — pre-final barrier
-  stages evaluate through the antisymmetry-folded gradient rows and the
-  rank-compressed thermal tail (`repro.solver.compiled.CompiledStructure`);
-  the final stage always runs on the exact stack, so agreement with the
-  cold solver is unchanged;
-* *wavefront row waves* (``wavefront``) — rows are walked hottest first
-  and each row's cells are solved in a handful of large lockstep batches
-  (`repro.core.protemp.ProTempOptimizer.solve_wave`), every cell
-  warm-started from its hotter-row same-column optimum; this amortizes
-  per-stage solver dispatch over batches the size of the frequency grid;
-* *row parallelism* (``n_workers``) — temperature rows are independent
-  (unless cross-row warm starts tie them together), so whole rows can be
-  distributed over a process pool with identical results.
+  so both paths finish at the same analytic center).
 
-``benchmarks/bench_table_generation.py`` tracks the measured speedups of
-each strategy against the cold per-cell baseline.
+Three presets name the supported combinations: ``gen2`` (all four; the
+default wherever tables are built), ``warm`` (within-row warm starts only)
+and ``cold`` (none; with ``ProTempOptimizer(accelerated=False)`` it is the
+per-cell oracle the fast sweeps are checked against).  perfbench's
+``table-sweep`` workload measures gen2 against that oracle.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Literal
@@ -182,74 +168,29 @@ class SweepStrategy:
             cross-row warm starts require.
         warm_start: warm-start each cell from its feasible right-neighbor.
         cross_row_warm_start: warm-start a row's leading cells from the
-            hotter row's same-column optimum (requires ``hot-first`` order
-            and serial rows).
-        prune_feasibility: compute each row's feasibility boundary first
-            (one convex solve per row) and mark cells above it infeasible
-            without running the full optimization.
+            hotter row's same-column optimum (requires ``hot-first``
+            order).
         prune_constraints: solve against the sparse near-active constraint
-            stack with a full-stack re-check and polish.
+            stack with a full-stack re-check, polish and KKT certificate.
         warm_schedule: start warm-started barrier solves at an estimated-
             gap weight instead of ``t_initial``.
-        batch_rows: walk columns and solve all temperature rows of a
-            column in one batched solve (requires warm starts; serial).
-        structure: evaluate pre-final barrier stages through the
-            structure-exploiting kernels (antisymmetry fold +
-            rank-compressed thermal tail).
-        wavefront: solve each temperature row's cells in large lockstep
-            batches, warm-started from the hotter row (requires
-            ``hot-first`` order and warm starts; serial).
-        n_workers: when > 1, distribute temperature rows over a process
-            pool of this size (incompatible with cross-row warm starts
-            and batching, which order cells across rows).
     """
 
     row_order: Literal["ascending", "hot-first"] = "ascending"
     warm_start: bool = True
     cross_row_warm_start: bool = False
-    prune_feasibility: bool = True
     prune_constraints: bool = False
     warm_schedule: bool = False
-    batch_rows: bool = False
-    structure: bool = False
-    wavefront: bool = False
-    n_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.row_order not in ("ascending", "hot-first"):
             raise TableError(f"unknown row_order {self.row_order!r}")
-        parallel = self.n_workers is not None and self.n_workers > 1
-        if self.cross_row_warm_start:
-            if self.row_order != "hot-first":
-                raise TableError(
-                    "cross-row warm starts require row_order='hot-first' "
-                    "(a hotter row's optimum is only guaranteed feasible "
-                    "for colder rows)"
-                )
-            if parallel or self.batch_rows:
-                raise TableError(
-                    "cross-row warm starts order rows sequentially and "
-                    "cannot combine with n_workers or batch_rows"
-                )
-        if self.batch_rows:
-            if parallel:
-                raise TableError("batch_rows cannot combine with n_workers")
-            if not self.warm_start:
-                raise TableError("batch_rows requires warm_start")
-        if self.wavefront:
-            if self.row_order != "hot-first":
-                raise TableError(
-                    "wavefront sweeps require row_order='hot-first' (each "
-                    "wave warm-starts from the already-solved hotter row)"
-                )
-            if parallel or self.batch_rows or self.cross_row_warm_start:
-                raise TableError(
-                    "wavefront orders rows sequentially and batches within "
-                    "them; it cannot combine with n_workers, batch_rows or "
-                    "cross_row_warm_start"
-                )
-            if not self.warm_start:
-                raise TableError("wavefront requires warm_start")
+        if self.cross_row_warm_start and self.row_order != "hot-first":
+            raise TableError(
+                "cross-row warm starts require row_order='hot-first' "
+                "(a hotter row's optimum is only guaranteed feasible "
+                "for colder rows)"
+            )
 
     @classmethod
     def _preset_map(cls) -> dict[str, "SweepStrategy"]:
@@ -262,46 +203,17 @@ class SweepStrategy:
                 prune_constraints=True,
                 warm_schedule=True,
             ),
-            "gen2-batched": cls(
-                prune_constraints=True,
-                warm_schedule=True,
-                batch_rows=True,
-            ),
-            "gen3": cls(
-                row_order="hot-first",
-                cross_row_warm_start=True,
-                prune_constraints=True,
-                warm_schedule=True,
-                structure=True,
-            ),
-            "gen3-wavefront": cls(
-                row_order="hot-first",
-                prune_constraints=True,
-                warm_schedule=True,
-                structure=True,
-                wavefront=True,
-            ),
         }
 
     @classmethod
     def preset(cls, name: str) -> "SweepStrategy":
-        """Named strategies: cold, warm, gen2, gen3, gen3-wavefront
-        (plus the deprecated gen2-batched)."""
+        """Named strategies: cold, warm, gen2."""
         presets = cls._preset_map()
         if name not in presets:
             raise TableError(
                 f"unknown sweep strategy {name!r}; "
                 f"choose from {sorted(presets)}"
                 + did_you_mean(name, presets)
-            )
-        if name == "gen2-batched":
-            warnings.warn(
-                "the 'gen2-batched' preset is deprecated: its column-major "
-                "batching is slower than 'gen2', and the 'gen3-wavefront' "
-                "row-wave scheduler supersedes it; switch to "
-                "'gen3-wavefront' (or 'gen3')",
-                DeprecationWarning,
-                stacklevel=2,
             )
         return presets[name]
 
@@ -754,25 +666,22 @@ def _build_row(
 ) -> tuple[dict[int, TableEntry], dict[int, FrequencyAssignment]]:
     """Solve one temperature row, walking frequency columns high to low.
 
-    Walking downward lets each cell warm-start from its right-neighbor's
-    optimum; a cell without a feasible right-neighbor (the row's leading
-    feasible column) falls back to the hotter row's same-column optimum
-    when cross-row warm starts are enabled.  Module-level so rows can be
-    dispatched to worker processes; returns the row's assignments alongside
-    its entries so the next (colder) row can warm-start from them.
+    Cells above the row's feasibility boundary are marked infeasible
+    without a solve.  Walking downward lets each cell warm-start from its
+    right-neighbor's optimum; a cell without a feasible right-neighbor (the
+    row's leading feasible column) falls back to the hotter row's
+    same-column optimum when cross-row warm starts are enabled.  Returns
+    the row's assignments alongside its entries so the next (colder) row
+    can warm-start from them.
     """
     n_cores = optimizer.platform.n_cores
     row: dict[int, TableEntry] = {}
     assignments: dict[int, FrequencyAssignment] = {}
-    boundary = (
-        optimizer.max_feasible_target(t_start)
-        if strategy.prune_feasibility
-        else None
-    )
+    boundary = optimizer.max_feasible_target(t_start)
     prev: FrequencyAssignment | None = None
     for fi in reversed(range(len(f_grid))):
         f_target = f_grid[fi]
-        if boundary is not None and f_target > boundary:
+        if f_target > boundary:
             row[fi] = _infeasible_entry(t_start, f_target, n_cores)
         else:
             warm = prev if strategy.warm_start else None
@@ -790,7 +699,6 @@ def _build_row(
                 warm_from=warm,
                 prune=strategy.prune_constraints,
                 warm_schedule=strategy.warm_schedule,
-                structure=strategy.structure,
             )
             row[fi] = TableEntry.from_assignment(assignment)
             assignments[fi] = assignment
@@ -798,142 +706,6 @@ def _build_row(
         if on_cell is not None:
             on_cell()
     return row, assignments
-
-
-def _sweep_batched(
-    optimizer: ProTempOptimizer,
-    t_grid: list[float],
-    f_grid: list[float],
-    strategy: SweepStrategy,
-    tick: Callable[[], None],
-) -> dict[tuple[int, int], TableEntry]:
-    """Column-major sweep solving all temperature rows of a column at once.
-
-    Each cell still warm-starts from its own row's right-neighbor; the
-    batch simply advances every row's cell of one column in lockstep
-    through the shared constraint stack.  Cells the batch cannot serve
-    (no feasible warm start, pruning fallback) are re-solved serially, so
-    the result is identical to the serial sweep.
-    """
-    n_cores = optimizer.platform.n_cores
-    entries: dict[tuple[int, int], TableEntry] = {}
-    boundaries = [
-        optimizer.max_feasible_target(t_start)
-        if strategy.prune_feasibility
-        else None
-        for t_start in t_grid
-    ]
-    previous: dict[int, FrequencyAssignment] = {}
-    for fi in reversed(range(len(f_grid))):
-        f_target = f_grid[fi]
-        active: list[int] = []
-        for ti, t_start in enumerate(t_grid):
-            if boundaries[ti] is not None and f_target > boundaries[ti]:
-                entries[(ti, fi)] = _infeasible_entry(
-                    t_start, f_target, n_cores
-                )
-                tick()
-            else:
-                active.append(ti)
-        if not active:
-            continue
-        warms = [previous.get(ti) for ti in active]
-        batch = optimizer.solve_batch(
-            [t_grid[ti] for ti in active],
-            f_target,
-            warms,
-            prune=strategy.prune_constraints,
-            warm_schedule=strategy.warm_schedule,
-            structure=strategy.structure,
-        )
-        for ti, warm, assignment in zip(active, warms, batch):
-            if assignment is None:
-                assignment = optimizer.solve(
-                    t_grid[ti],
-                    f_target,
-                    warm_from=warm,
-                    prune=strategy.prune_constraints,
-                    warm_schedule=strategy.warm_schedule,
-                    structure=strategy.structure,
-                )
-            entries[(ti, fi)] = TableEntry.from_assignment(assignment)
-            if assignment.feasible:
-                previous[ti] = assignment
-            else:
-                previous.pop(ti, None)
-            tick()
-    return entries
-
-
-def _sweep_wavefront(
-    optimizer: ProTempOptimizer,
-    t_grid: list[float],
-    f_grid: list[float],
-    strategy: SweepStrategy,
-    tick: Callable[[], None],
-) -> dict[tuple[int, int], TableEntry]:
-    """Hot-first row waves, each row a couple of large lockstep solves.
-
-    Rows are walked hottest first; each wave hands the whole row — every
-    frequency column past the feasibility boundary — to
-    :meth:`~repro.core.protemp.ProTempOptimizer.solve_wave`, with each
-    cell warm-started from the hotter row's same-column optimum (the
-    hottest row runs as one cold lockstep batch).  Cells the wave cannot
-    serve are re-solved serially, preferring the row's right-neighbor and
-    falling back to the hotter-row start, so the result matches the
-    serial sweeps to solver tolerance.
-    """
-    n_cores = optimizer.platform.n_cores
-    entries: dict[tuple[int, int], TableEntry] = {}
-    hotter: dict[int, FrequencyAssignment] = {}
-    for ti in reversed(range(len(t_grid))):
-        t_start = t_grid[ti]
-        boundary = (
-            optimizer.max_feasible_target(t_start)
-            if strategy.prune_feasibility
-            else None
-        )
-        active: list[int] = []
-        for fi in reversed(range(len(f_grid))):
-            if boundary is not None and f_grid[fi] > boundary:
-                entries[(ti, fi)] = _infeasible_entry(
-                    t_start, f_grid[fi], n_cores
-                )
-                tick()
-            else:
-                active.append(fi)
-        assignments: dict[int, FrequencyAssignment] = {}
-        if active:
-            warms = [hotter.get(fi) for fi in active]
-            wave = optimizer.solve_wave(
-                t_start,
-                [f_grid[fi] for fi in active],
-                warms,
-                prune=strategy.prune_constraints,
-                warm_schedule=strategy.warm_schedule,
-                structure=strategy.structure,
-            )
-            prev: FrequencyAssignment | None = None
-            for fi, warm, assignment in zip(active, warms, wave):
-                if assignment is None:
-                    fallback = (
-                        prev if prev is not None and prev.feasible else warm
-                    )
-                    assignment = optimizer.solve(
-                        t_start,
-                        f_grid[fi],
-                        warm_from=fallback,
-                        prune=strategy.prune_constraints,
-                        warm_schedule=strategy.warm_schedule,
-                        structure=strategy.structure,
-                    )
-                entries[(ti, fi)] = TableEntry.from_assignment(assignment)
-                if assignment.feasible:
-                    assignments[fi] = assignment
-                prev = assignment
-                tick()
-        hotter = assignments
-    return entries
 
 
 def build_frequency_table(
@@ -944,9 +716,7 @@ def build_frequency_table(
     strategy: SweepStrategy | str | None = None,
     progress: Callable[[int, int], None] | None = None,
     provenance: dict | None = None,
-    prune_infeasible: bool | None = None,
     warm_start: bool | None = None,
-    n_workers: int | None = None,
 ) -> FrequencyTable:
     """Run Phase 1: solve every grid point and assemble the table.
 
@@ -955,51 +725,34 @@ def build_frequency_table(
         t_grid: starting temperatures (Celsius), strictly increasing.
         f_grid: average-frequency targets (Hz), strictly increasing.
         strategy: a :class:`SweepStrategy`, a preset name (``"cold"``,
-            ``"warm"``, ``"gen2"``, ``"gen3"``, ``"gen3-wavefront"``, or
-            the deprecated ``"gen2-batched"``), or None to build one from
-            the legacy keyword flags below.
-        progress: optional callback ``(done, total)`` for long sweeps
-            (per cell when serial or batched, per completed row when
-            parallel).
+            ``"warm"`` or ``"gen2"``), or None for the ``warm`` preset
+            (``cold`` with ``warm_start=False``).
+        progress: optional callback ``(done, total)``, called per cell.
         provenance: caller-supplied metadata merged into the table's
             metadata — the scenario runner records the platform spec
             hash and a build timestamp here (the build itself never
             reads the clock, keeping sweeps deterministic).
-        prune_infeasible: legacy flag (default True) — maps to
-            ``SweepStrategy.prune_feasibility``; only valid when
-            `strategy` is None.
         warm_start: legacy flag (default True) — maps to
             ``SweepStrategy.warm_start``; only valid when `strategy` is
             None.
-        n_workers: legacy flag — maps to ``SweepStrategy.n_workers``;
-            only valid when `strategy` is None.
 
     Returns:
         The assembled :class:`FrequencyTable`.
 
     Raises:
-        TableError: when both `strategy` and a legacy flag are given (the
-            flags would be silently ignored otherwise — set the
-            corresponding :class:`SweepStrategy` field instead).
+        TableError: when both `strategy` and `warm_start` are given (the
+            flag would be silently ignored otherwise — set the
+            :class:`SweepStrategy` field instead).
     """
     if strategy is None:
         strategy = SweepStrategy(
-            prune_feasibility=(
-                True if prune_infeasible is None else prune_infeasible
-            ),
-            warm_start=True if warm_start is None else warm_start,
-            n_workers=n_workers,
+            warm_start=True if warm_start is None else warm_start
         )
     else:
-        if (
-            prune_infeasible is not None
-            or warm_start is not None
-            or n_workers is not None
-        ):
+        if warm_start is not None:
             raise TableError(
                 "pass sweep options either via `strategy` or via the "
-                "legacy keywords (prune_infeasible / warm_start / "
-                "n_workers), not both"
+                "legacy `warm_start` keyword, not both"
             )
         if isinstance(strategy, str):
             strategy = SweepStrategy.preset(strategy)
@@ -1013,50 +766,24 @@ def build_frequency_table(
         if progress is not None:
             progress(done, total)
 
-    workers = strategy.n_workers
-    if strategy.wavefront:
-        entries = _sweep_wavefront(
-            optimizer, list(t_grid), list(f_grid), strategy, tick
+    order = (
+        list(reversed(range(len(t_grid))))
+        if strategy.row_order == "hot-first"
+        else list(range(len(t_grid)))
+    )
+    hotter: dict[int, FrequencyAssignment] | None = None
+    for ti in order:
+        row, assignments = _build_row(
+            optimizer,
+            t_grid[ti],
+            list(f_grid),
+            strategy,
+            hotter_row=hotter if strategy.cross_row_warm_start else None,
+            on_cell=tick,
         )
-    elif strategy.batch_rows:
-        entries = _sweep_batched(
-            optimizer, list(t_grid), list(f_grid), strategy, tick
-        )
-    elif workers is not None and workers > 1 and len(t_grid) > 1:
-        pool_size = min(workers, len(t_grid), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = [
-                pool.submit(
-                    _build_row, optimizer, t_start, list(f_grid), strategy
-                )
-                for t_start in t_grid
-            ]
-            for ti, future in enumerate(futures):
-                row, _assignments = future.result()
-                for fi, entry in row.items():
-                    entries[(ti, fi)] = entry
-                done += len(f_grid)
-                if progress is not None:
-                    progress(done, total)
-    else:
-        order = (
-            list(reversed(range(len(t_grid))))
-            if strategy.row_order == "hot-first"
-            else list(range(len(t_grid)))
-        )
-        hotter: dict[int, FrequencyAssignment] | None = None
-        for ti in order:
-            row, assignments = _build_row(
-                optimizer,
-                t_grid[ti],
-                list(f_grid),
-                strategy,
-                hotter_row=hotter if strategy.cross_row_warm_start else None,
-                on_cell=tick,
-            )
-            for fi, entry in row.items():
-                entries[(ti, fi)] = entry
-            hotter = assignments
+        for fi, entry in row.items():
+            entries[(ti, fi)] = entry
+        hotter = assignments
     platform = optimizer.platform
     barrier = optimizer.barrier_options
     newton = barrier.newton or NewtonOptions()

@@ -62,11 +62,8 @@ class PlatformPowerModel:
         if self.floorplan.n_cores == 0:
             raise PowerModelError("floorplan has no CORE blocks")
         self._core_indices = np.array(self.floorplan.core_indices)
-        noncore = [
-            i
-            for i in range(len(self.floorplan))
-            if i not in set(self.floorplan.core_indices)
-        ]
+        cores = set(self.floorplan.core_indices)
+        noncore = [i for i in range(len(self.floorplan)) if i not in cores]
         self._noncore_indices = np.array(noncore, dtype=int)
         if len(noncore) > 0:
             areas = np.array(

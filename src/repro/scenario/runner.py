@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,6 +69,10 @@ from repro.sim.engine import (
     SimulationConfig,
     SimulationResult,
 )
+
+#: Sweep preset for tables whose policy spec does not pin a ``strategy``:
+#: gen2, the fastest sweep (agrees with the cold oracle to <= 1e-13).
+TABLE_STRATEGY = "gen2"
 
 
 @dataclass(frozen=True)
@@ -406,10 +410,6 @@ class ScenarioRunner:
     Args:
         n_workers: process-pool size for :meth:`run_many`; None or 1 runs
             serially.  Parallel and serial runs are bit-identical.
-        table_strategy: sweep strategy (preset name or
-            :class:`~repro.core.table.SweepStrategy`) used when a policy's
-            spec does not pin one; default ``"gen2"``, the fastest serial
-            sweep (agrees with the cold solver to <= 1e-13).
         table_cache_dir: optional directory of JSON table caches shared
             across processes/sessions; tables are loaded when the key
             matches and written after fresh builds.
@@ -438,7 +438,6 @@ class ScenarioRunner:
         self,
         *,
         n_workers: int | None = None,
-        table_strategy: str = "gen2",
         table_cache_dir: str | Path | None = None,
         outcome_store: "OutcomeStore | str | Path | None" = None,
         metrics: MetricsRegistry | None = None,
@@ -446,7 +445,6 @@ class ScenarioRunner:
         if n_workers is not None and n_workers < 1:
             raise ScenarioError("n_workers must be >= 1 when given")
         self.n_workers = n_workers
-        self.table_strategy = table_strategy
         self.table_cache_dir = (
             Path(table_cache_dir) if table_cache_dir is not None else None
         )
@@ -466,7 +464,6 @@ class ScenarioRunner:
         self._platforms: dict[PlatformSpec, Platform] = {}
         self._optimizers: dict[tuple, ProTempOptimizer] = {}
         self._tables: dict[str, FrequencyTable] = {}
-        self._table_factories: dict[str, "Callable[[], FrequencyTable]"] = {}
         #: Number of tables this runner built from scratch (exposed so
         #: tests can assert the exactly-once-per-distinct-spec behavior).
         self.tables_built = 0
@@ -530,25 +527,6 @@ class ScenarioRunner:
         with self._lock:
             self._tables[table_key(platform_spec, policy_spec)] = table
 
-    def prime_table_lazy(
-        self,
-        platform_spec: PlatformSpec,
-        policy_spec: PolicySpec,
-        factory: "Callable[[], FrequencyTable]",
-    ) -> None:
-        """Seed the table cache with a deferred builder for the pair's key.
-
-        `factory` is only invoked if some scenario actually needs the
-        table — so a figure run whose every cell replays from a warm
-        outcome store never pays the Phase-1 build at all.  The built
-        table is cached under the key like a primed one (it counts as a
-        cache hit, not a build of this runner's own sweep).
-        """
-        with self._lock:
-            self._table_factories[
-                table_key(platform_spec, policy_spec)
-            ] = factory
-
     def table(
         self,
         platform_spec: PlatformSpec,
@@ -576,12 +554,6 @@ class ScenarioRunner:
             with self._lock:
                 if key in self._tables:
                     return self._tables[key], True
-                factory = self._table_factories.pop(key, None)
-            if factory is not None:
-                table = factory()
-                with self._lock:
-                    self._tables[key] = table
-                return table, True
             config = policy_spec.table_config()
             platform = self.platform(platform_spec)
             cache_path = (
@@ -621,9 +593,8 @@ class ScenarioRunner:
             progress_seen = {"done": 0}
 
             def _tick(done: int, total: int) -> None:
-                # The sweep reports cumulative progress (per cell when
-                # serial, per row when parallel); mirror the deltas so the
-                # counter stays monotone either way.
+                # The sweep reports cumulative progress per cell; mirror
+                # the deltas so the counter stays monotone.
                 delta = done - progress_seen["done"]
                 progress_seen["done"] = done
                 if delta > 0:
@@ -637,7 +608,7 @@ class ScenarioRunner:
                         optimizer,
                         list(config["t_grid"]),
                         list(config["f_grid"]),
-                        strategy=config["strategy"] or self.table_strategy,
+                        strategy=config["strategy"] or TABLE_STRATEGY,
                         progress=_tick,
                         provenance={
                             "platform_spec_hash": platform_spec.spec_hash,

@@ -52,8 +52,7 @@ from repro.thermal.constants import PAPER_DFS_PERIOD
 from repro.units import mhz
 
 #: Default Phase-1 grid: start temperatures in Celsius.  Denser near t_max
-#: where the feasible frequency changes fastest.  (Shared with
-#: `repro.analysis.cache`, which re-exports these for compatibility.)
+#: where the feasible frequency changes fastest.
 DEFAULT_T_GRID = (50.0, 60.0, 70.0, 75.0, 80.0, 85.0, 90.0, 92.5, 95.0, 97.5, 100.0)
 
 #: Default Phase-1 grid: average-frequency targets in Hz (50 MHz steps).

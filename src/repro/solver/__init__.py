@@ -5,7 +5,13 @@ sweep), `repro.solver.compiled.CompiledConstraints` stacks the linear and
 box constraint blocks into one matrix once and evaluates the log barrier
 fully vectorized; `solve_barrier` accepts such a stack via ``compiled=``
 and additionally skips phase I whenever the supplied start is already
-strictly feasible (warm starting).
+strictly feasible (warm starting).  One solve path serves every caller:
+the gen2 sweep, the cold oracle and MPC's online re-solves all run
+`solve_barrier` over a compiled stack.  `kkt_residuals` checks optimality
+independently of the solver; the sweep's pruned cells are certified with
+the same stationarity condition, evaluated on the compiled stack
+(`CompiledConstraints.barrier_gradient`).  The ``scipy`` backend
+(`solve_scipy`) is the cross-check oracle for the barrier method.
 """
 
 from repro.solver.barrier import (

@@ -35,15 +35,8 @@ import numpy as np
 from repro.errors import SolverError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.solver.compiled import (
-        BatchedCompiledConstraints,
-        CompiledConstraints,
-    )
-from repro.solver.newton import (
-    NewtonOptions,
-    minimize_newton,
-    minimize_newton_batch,
-)
+    from repro.solver.compiled import CompiledConstraints
+from repro.solver.newton import NewtonOptions, minimize_newton
 from repro.solver.problem import (
     SLACK_FLOOR,
     ConstraintBlock,
@@ -85,7 +78,7 @@ MAX_STAGES = 64
 def cold_stage_weights(m: int, options: BarrierOptions) -> list[float]:
     """The cold schedule: ``t_initial * mu^j`` until ``m / t < gap_tol``.
 
-    Single source of truth for the stage grid — the warm/batched paths'
+    Single source of truth for the stage grid — the warm path's
     exactness argument ("same final weight, hence the same returned
     center") relies on every schedule variant deriving from this one.
     Capped at :data:`MAX_STAGES`; a schedule whose last weight still has
@@ -480,7 +473,6 @@ def solve_barrier(
     compiled: "CompiledConstraints | None" = None,
     initial_violation: float | None = None,
     t_start_hint: float | None = None,
-    stage_compiled: "CompiledConstraints | None" = None,
 ) -> SolveResult:
     """Solve ``minimize objective(x) s.t. all blocks`` by the barrier method.
 
@@ -504,17 +496,6 @@ def solve_barrier(
             :func:`warm_stage_weights`, which finishes at the same final
             weight — and hence the same point — as a cold solve.  Ignored
             when phase I runs (the hint presumes a feasible start).
-        stage_compiled: optional structure-exploiting twin of `compiled`
-            (same constraints, a `CompiledStructure` attached) used for
-            every barrier stage *except the last*.  The final stage — the
-            one whose Newton-converged center is the returned point —
-            always evaluates through `compiled`, so any certified
-            approximation in the structured stack (the rank tail) cannot
-            move the result.  At the hand-off the iterate is checked
-            against the exact stack; if the structured stages drifted
-            outside the exact domain (a violated truncation bound), the
-            whole schedule transparently re-runs on the exact stack.
-            Requires `compiled`.
 
     Returns:
         A :class:`SolveResult`; status INFEASIBLE when phase I certifies an
@@ -559,13 +540,13 @@ def solve_barrier(
     m = total_constraints(blocks) or 1
     newton_opts = opts.newton or NewtonOptions()
 
-    def stage_function(t_weight: float, comp: "CompiledConstraints | None"):
+    def stage_function(t_weight: float):
         def func(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             value = t_weight * objective.value(z)
             grad = t_weight * objective.gradient(z)
             hess = t_weight * objective.hessian(z)
-            if comp is not None:
-                b_val, b_grad, b_hess = comp.barrier(z)
+            if compiled is not None:
+                b_val, b_grad, b_hess = compiled.barrier(z)
                 if not np.isfinite(b_val):
                     return np.inf, grad, hess
                 return value + b_val, grad + b_grad, hess + b_hess
@@ -580,66 +561,34 @@ def solve_barrier(
 
         return func
 
-    def stage_value_function(
-        t_weight: float, comp: "CompiledConstraints | None"
-    ):
+    def stage_value_function(t_weight: float):
         # Value-only twin of stage_function for line-search probes; the
         # arithmetic is identical term-for-term (same order of additions)
         # so line-search decisions — and hence the iterates — match the
         # full evaluator bit-for-bit.
-        if comp is None:
+        if compiled is None:
             return None
 
         def vf(z: np.ndarray) -> float:
             value = t_weight * objective.value(z)
-            b_val = comp.barrier_value(z)
+            b_val = compiled.barrier_value(z)
             if not np.isfinite(b_val):
                 return np.inf
             return value + b_val
 
         return vf
 
-    use_stage = stage_compiled is not None and compiled is not None
-    # A tail-free structure (pair fold only) is exact algebra, not an
-    # approximation: the final stage may run on it too, skipping both the
-    # hand-off check and the full-stack evaluations of the most expensive
-    # stage.  Only a rank tail forces the exact final stage.
-    exact_structure = (
-        use_stage
-        and stage_compiled.structure is not None
-        and stage_compiled.structure.tail is None
-    )
-
-    def run_schedule(weights, x_start, structured):
-        """Run a barrier schedule; None signals structured hand-off failure.
-
-        With `structured` every stage but the last evaluates through the
-        structure-exploiting stack; the last always uses the exact one, so
-        the returned point (the final stage's Newton center) is unchanged.
-        (A tail-free structured stack is itself exact, so it serves the
-        final stage as well.)  Before an exact final stage the iterate is
-        validated against the exact domain — a violated rank-tail bound
-        can only surface there, and returning None lets the caller re-run
-        the whole schedule exactly.
-        """
+    def run_schedule(weights, x_start):
+        """Run a barrier schedule: one Newton centering per stage weight."""
         z = x_start
         iters = 0
         stage_converged = True
-        last = len(weights) - 1
-        for i, t_weight in enumerate(weights):
-            comp = (
-                stage_compiled
-                if structured and (i < last or exact_structure)
-                else compiled
-            )
-            if structured and not exact_structure and i == last and last > 0:
-                if not np.isfinite(compiled.barrier_value(z)):
-                    return None
+        for t_weight in weights:
             outcome = minimize_newton(
-                stage_function(t_weight, comp),
+                stage_function(t_weight),
                 z,
                 newton_opts,
-                value_func=stage_value_function(t_weight, comp),
+                value_func=stage_value_function(t_weight),
             )
             z = outcome.x
             iters += outcome.iterations
@@ -650,10 +599,7 @@ def solve_barrier(
         # Near-optimal warm start: few big jumps, same final weight (and
         # hence the same returned center) as the cold schedule below.
         weights = warm_stage_weights(m, opts, t_start_hint)
-        run = run_schedule(weights, x, use_stage)
-        if run is None:
-            run = run_schedule(weights, x, False)
-        x, stage_iters, converged = run
+        x, stage_iters, converged = run_schedule(weights, x)
         total_iterations += stage_iters
         t = weights[-1]
         if not converged:
@@ -680,10 +626,7 @@ def solve_barrier(
         )
 
     weights = cold_stage_weights(m, opts)
-    run = run_schedule(weights, x, use_stage)
-    if run is None:
-        run = run_schedule(weights, x, False)
-    x, stage_iters, _converged = run
+    x, stage_iters, _converged = run_schedule(weights, x)
     total_iterations += stage_iters
     t = weights[-1]
 
@@ -706,158 +649,6 @@ def solve_barrier(
         duality_gap=m / t,
         max_violation=violation_at(x),
     )
-
-
-def solve_barrier_batch(
-    c: np.ndarray,
-    batched: "BatchedCompiledConstraints",
-    x0: np.ndarray,
-    options: BarrierOptions | None = None,
-    *,
-    t_start_hint: float | None = None,
-    stage_batched: "BatchedCompiledConstraints | None" = None,
-) -> list[SolveResult]:
-    """Solve several warm-started linear-objective cells in lockstep.
-
-    The batched counterpart of the :func:`solve_barrier` warm path: every
-    column of `x0` must already be strictly feasible for its cell (there is
-    no batched phase I — the Phase-1 sweep guarantees this by construction
-    and falls back to serial solves otherwise).  All cells share one
-    objective vector ``c``, one constraint count ``m`` and therefore one
-    barrier schedule; each stage advances every unconverged cell through
-    `repro.solver.newton.minimize_newton_batch`, whose evaluations hit the
-    shared constraint matrix once per iteration for the whole batch.
-
-    Args:
-        c: shared linear objective vector, shape (n_vars,).
-        batched: the cells' shared-matrix constraint stack
-            (`repro.solver.compiled.BatchedCompiledConstraints`).
-        x0: starting columns, shape (n_vars, batch), each strictly
-            feasible for its cell.
-        options: solver options.
-        t_start_hint: optional initial barrier weight; switches to the
-            accelerated :func:`warm_stage_weights` schedule, which ends at
-            the same final weight as the cold schedule.
-        stage_batched: optional structure-exploiting twin of `batched`
-            (same cells, a `CompiledStructure` attached), used for every
-            stage but the last; the final stage always evaluates through
-            the exact stack.  Cells whose hand-off iterate falls outside
-            the exact domain (a violated rank-tail bound) are dropped from
-            the final stage and reported MAX_ITERATIONS so callers
-            re-solve them serially.
-
-    Returns:
-        One :class:`SolveResult` per cell, in batch order.
-
-    Raises:
-        SolverError: when a start column is not strictly feasible.
-    """
-    opts = options or BarrierOptions()
-    x = np.asarray(x0, dtype=float).copy()
-    n, batch = x.shape
-    if batch != batched.batch:
-        raise SolverError(
-            f"x0 has {batch} columns but the stack binds {batched.batch}"
-        )
-    all_cols = np.arange(batch)
-    start_violation = batched.max_violation(x, all_cols)
-    if np.any(start_violation >= -opts.feasibility_margin):
-        raise SolverError(
-            "solve_barrier_batch requires strictly feasible start columns"
-        )
-
-    m = batched.count() or 1
-    newton_opts = opts.newton or NewtonOptions()
-    iterations = np.zeros(batch, dtype=int)
-
-    def stage_function(t_weight: float, comp, live: np.ndarray):
-        # `live` maps the sub-batch the Newton loop sees onto the full
-        # batch: when hand-off validation drops cells before the final
-        # stage the survivors are renumbered 0..k-1 inside the solver.
-        def func(
-            z: np.ndarray, cols: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            values, grads, hessians = comp.barrier(z, live[cols])
-            values = values + t_weight * (c @ z)
-            grads = grads + t_weight * c[None, :]
-            return values, grads, hessians
-
-        return func
-
-    def stage_value_function(t_weight: float, comp, live: np.ndarray):
-        def vf(z: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            values = comp.barrier_value(z, live[cols])
-            return values + t_weight * (c @ z)
-
-        return vf
-
-    if t_start_hint is not None:
-        schedule = warm_stage_weights(m, opts, t_start_hint)
-    else:
-        schedule = cold_stage_weights(m, opts)
-
-    t = schedule[-1]
-    converged = np.ones(batch, dtype=bool)
-    handoff_failed = np.zeros(batch, dtype=bool)
-    live = all_cols
-    last = len(schedule) - 1
-    # Mirror of the serial `exact_structure` rule: a fold-only structured
-    # stack is exact, so it may evaluate the final stage too (and the
-    # hand-off check is moot).
-    exact_structure = (
-        stage_batched is not None
-        and stage_batched.structure is not None
-        and stage_batched.structure.tail is None
-    )
-    use_stage = stage_batched is not None and (last > 0 or exact_structure)
-    for i, t_weight in enumerate(schedule):
-        comp = (
-            stage_batched
-            if use_stage and (i < last or exact_structure)
-            else batched
-        )
-        if use_stage and not exact_structure and i == last:
-            # Hand-off to the exact stack: drop cells whose structured
-            # iterate is outside the exact domain.
-            vals = batched.barrier_value(x[:, live], live)
-            good = np.isfinite(vals)
-            if not np.all(good):
-                handoff_failed[live[~good]] = True
-                live = live[good]
-                if live.size == 0:
-                    break
-        outcome = minimize_newton_batch(
-            stage_function(t_weight, comp, live),
-            x[:, live],
-            newton_opts,
-            value_func=stage_value_function(t_weight, comp, live),
-        )
-        x[:, live] = outcome.x
-        iterations[live] += outcome.iterations
-        converged[live] = outcome.converged
-
-    final_violation = batched.max_violation(x, all_cols)
-    return [
-        SolveResult(
-            # A cell whose final stage exhausted its Newton budget is not
-            # at the stage center; report MAX_ITERATIONS so callers
-            # re-solve it serially instead of trusting the point.  Same
-            # for cells dropped at the structured hand-off.
-            status=(
-                SolveStatus.OPTIMAL
-                if converged[j]
-                and m / t < opts.gap_tol
-                and not handoff_failed[j]
-                else SolveStatus.MAX_ITERATIONS
-            ),
-            x=x[:, j].copy(),
-            objective=float(c @ x[:, j]),
-            iterations=int(iterations[j]),
-            duality_gap=m / t,
-            max_violation=float(final_violation[j]),
-        )
-        for j in range(batch)
-    ]
 
 
 def _dual_estimates(

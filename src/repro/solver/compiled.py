@@ -28,20 +28,15 @@ This is what makes Phase-1 table sweeps fast: across a
 change, so the matrix stack is compiled once per sweep and shared by every
 cell (see `repro.core.protemp.ProTempOptimizer`).
 
-Two further sweep fast paths build on the stacked form:
-
-* **Sparse row pruning** — :meth:`CompiledConstraints.prune_linear_rows`
-  keeps only a caller-chosen subset of the stacked linear rows (the rows
-  observed near-active at previous optima; most thermal step rows never
-  are).  The pruned program is a relaxation, so its solution must be
-  re-checked against the full stack (`max_violation`) — see
-  `repro.core.protemp.ProTempOptimizer` for the fallback protocol that
-  makes this sound.
-* **Batched multi-cell evaluation** — :class:`BatchedCompiledConstraints`
-  binds one shared matrix to *several* cells' right-hand sides and
-  evaluates every cell's barrier in one set of matrix products
-  (``A @ X`` over a column per cell), which removes the per-cell Python
-  dispatch overhead that dominates small-platform sweeps.
+The sweep's sparse row pruning builds on the stacked form:
+:meth:`CompiledConstraints.prune_linear_rows` keeps only a caller-chosen
+subset of the stacked linear rows (the rows observed near-active at
+previous optima; most thermal step rows never are).  The pruned program is
+a relaxation, so its solution must be re-checked against the full stack
+(`max_violation`) and certified there (`barrier_gradient` gives the KKT
+stationarity residual under the barrier's own multipliers) — see
+`repro.core.protemp.ProTempOptimizer` for the fallback protocol that makes
+this sound.
 """
 
 from __future__ import annotations
@@ -98,356 +93,6 @@ def stack_flat_rows(
     )
 
 
-@dataclass(frozen=True)
-class PairFold:
-    """Exact +/- antisymmetry fold of paired linear rows.
-
-    The pairwise-gradient constraints come in ordered pairs whose rows are
-    exact mirrors around a shared symmetric part ``c`` (for the Pro-Temp
-    program, ``c`` is the ``t_grad`` column)::
-
-        a[plus[k]]  = c + d[k]
-        a[minus[k]] = c - d[k]
-
-    Both barrier terms of a pair can then be evaluated from *one* product
-    ``d @ x`` plus the scalar ``c @ x`` — halving the dominant GEMV/GEMM —
-    and their Hessian contribution collapses to one GEMM over ``d`` plus a
-    rank-two ``c`` correction:
-
-        H = (d * (s+^-2 + s-^-2)).T @ d
-            + w c^T + c w^T + (sum s+^-2 + s-^-2) c c^T,
-        w = d.T @ (s+^-2 - s-^-2).
-
-    Construction is *validated exactly*: :meth:`detect` refuses any pairing
-    whose rows do not reconstruct bit-for-bit as ``c ± d`` (callers fall
-    back to the unfolded stack), so the fold is pure algebra — it changes
-    floating-point rounding, never the represented constraints.
-
-    Attributes:
-        plus: row indices of the ``c + d`` members, shape (n_pairs,).
-        minus: row indices of the ``c - d`` members, shape (n_pairs,).
-        d: antisymmetric parts, shape (n_pairs, n_vars).
-        c: shared symmetric part, shape (n_vars,).
-    """
-
-    plus: np.ndarray
-    minus: np.ndarray
-    d: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def detect(
-        cls, a: np.ndarray, plus: np.ndarray, minus: np.ndarray
-    ) -> "PairFold | None":
-        """Validated fold of ``a`` rows paired as ``(plus[k], minus[k])``.
-
-        Returns None unless every pair reconstructs exactly: the symmetric
-        part must be identical across pairs and ``c + d`` / ``c - d`` must
-        reproduce the original rows bit-for-bit.
-        """
-        plus = np.asarray(plus, dtype=int)
-        minus = np.asarray(minus, dtype=int)
-        if plus.shape != minus.shape or plus.ndim != 1 or plus.size == 0:
-            return None
-        rows_plus = a[plus]
-        rows_minus = a[minus]
-        double_c = rows_plus + rows_minus
-        c = double_c[0] / 2.0
-        if not np.array_equal(double_c, np.broadcast_to(2.0 * c, double_c.shape)):
-            return None
-        d = rows_plus - c
-        if not np.array_equal(c + d, rows_plus):
-            return None
-        if not np.array_equal(c - d, rows_minus):
-            return None
-        return cls(
-            plus=plus,
-            minus=minus,
-            d=np.ascontiguousarray(d),
-            c=np.ascontiguousarray(c),
-        )
-
-
-@dataclass(frozen=True)
-class RankTail:
-    """Rank-structured representation of geometrically converging rows.
-
-    The thermal step-response rows converge to steady state, so the family
-    ``a[row(t, g)]`` (step ``t``, node ``g``) deviates from its final-step
-    rows by a matrix with rapidly decaying singular values.  This stores
-    the final-step rows as a *base* plus a rank-``r`` correction::
-
-        a[row(t, g)] ~= base[g] + sum_r coeffs[t, r] * dirs[r, g]
-
-    so slack/value/gradient evaluation touches ``(1 + r) * n_groups`` rows
-    instead of ``n_steps * n_groups``.  The approximation error is
-    **certified** at construction: ``bound`` is the worst-case slack error
-    ``max_{t,g} sum_j |residual[t,g,j]| * x_bound[j]`` over the variable
-    box, and :meth:`build` refuses to compress when the requested tolerance
-    cannot be met.  The final step's coefficients are zeroed exactly, so
-    the most-converged (and most often active) rows are represented
-    without error.  Hessian accumulation keeps the exact rows (`tail_a`):
-    at this problem's variable count a rank expansion of the GEMM would
-    cost more than it saves, and exact rows add no approximation error.
-
-    Attributes:
-        rows: indices of the represented rows, step-major, shape
-            (n_steps * n_groups,).
-        n_steps: number of step blocks.
-        n_groups: rows per step block.
-        base: final-step rows, shape (n_groups, n_vars).
-        coeffs: per-step correction coefficients, shape (n_steps, rank).
-        dirs_flat: correction directions, shape (rank * n_groups, n_vars)
-            (row-major over (rank, group)).
-        tail_a: exact represented rows, contiguous, shape
-            (n_steps * n_groups, n_vars) — used for Hessian accumulation.
-        bound: certified worst-case absolute slack error over the box.
-    """
-
-    rows: np.ndarray
-    n_steps: int
-    n_groups: int
-    base: np.ndarray
-    coeffs: np.ndarray
-    dirs_flat: np.ndarray
-    tail_a: np.ndarray
-    bound: float
-
-    @property
-    def rank(self) -> int:
-        """Rank of the correction term."""
-        return int(self.coeffs.shape[1])
-
-    @classmethod
-    def build(
-        cls,
-        a: np.ndarray,
-        rows: np.ndarray,
-        n_steps: int,
-        n_groups: int,
-        x_bound: np.ndarray,
-        tol: float,
-        max_rank: int = 16,
-    ) -> "RankTail | None":
-        """Compress ``a[rows]`` to the smallest rank meeting `tol`.
-
-        Args:
-            a: full row matrix.
-            rows: indices of the rows to represent, step-major
-                (``rows[t * n_groups + g]`` is step ``t``, group ``g``).
-            n_steps: step blocks (must satisfy
-                ``len(rows) == n_steps * n_groups``).
-            n_groups: rows per step block.
-            x_bound: per-variable bound ``max |x_j|`` over the feasible
-                box, used to certify the slack error.
-            tol: maximum certified slack error accepted.
-            max_rank: rank ceiling; beyond it compression is refused.
-
-        Returns:
-            The tail, or None when no rank within `max_rank` certifies
-            `tol` (callers must fall back to the exact stack).
-        """
-        rows = np.asarray(rows, dtype=int)
-        if rows.size != n_steps * n_groups or n_steps < 2:
-            return None
-        x_bound = np.asarray(x_bound, dtype=float)
-        tail_a = np.ascontiguousarray(a[rows])
-        stacked = tail_a.reshape(n_steps, n_groups, -1)
-        base = np.ascontiguousarray(stacked[-1])
-        deviations = (stacked - base).reshape(n_steps, -1)
-        u, sing, vt = np.linalg.svd(deviations, full_matrices=False)
-        limit = min(max_rank, sing.size)
-        for rank in range(limit + 1):
-            coeffs = u[:, :rank] * sing[:rank]
-            # The final step *is* the base: zero its coefficients exactly
-            # so the most-converged rows carry no approximation error.
-            coeffs[-1, :] = 0.0
-            residual = deviations - coeffs @ vt[:rank]
-            slack_err = np.abs(
-                residual.reshape(n_steps, n_groups, -1)
-            ) @ x_bound
-            bound = float(slack_err.max())
-            if bound <= tol:
-                n_vars = tail_a.shape[1]
-                # Cost gate: per group, the exact rows cost n_steps * n_vars
-                # flops per slack evaluation while the expansion costs
-                # n_vars * (1 + rank) + n_steps * rank.  A certified rank
-                # that does not at least halve that work is refused — for
-                # slow thermal transients (horizon shorter than the settling
-                # time) the deviations span nearly the full variable space
-                # and the "compression" would only add overhead.
-                if (
-                    n_vars * (1 + rank) + n_steps * rank
-                    > (n_steps * n_vars) // 2
-                ):
-                    return None
-                return cls(
-                    rows=rows,
-                    n_steps=int(n_steps),
-                    n_groups=int(n_groups),
-                    base=base,
-                    coeffs=np.ascontiguousarray(coeffs),
-                    dirs_flat=np.ascontiguousarray(
-                        vt[:rank].reshape(rank * n_groups, n_vars)
-                    ),
-                    tail_a=tail_a,
-                    bound=bound,
-                )
-        return None
-
-
-@dataclass(frozen=True)
-class CompiledStructure:
-    """Structure-exploiting evaluation plan for a stacked row matrix.
-
-    Partitions the linear rows of one :class:`CompiledConstraints` matrix
-    into an antisymmetry :class:`PairFold`, a rank-structured
-    :class:`RankTail`, and an exact remainder.  The plan depends only on
-    the matrix part — never on right-hand sides — so one structure is
-    shared by every RHS rebind of a compiled template across a sweep.
-
-    A stack carrying a structure with a tail evaluates its barrier
-    *approximately* (within the tail's certified ``bound``); feasibility
-    checks (`max_violation`, `linear_slacks`) always use the exact rows.
-    Solvers must therefore only use tailed structures for non-final
-    barrier stages and verify the hand-off point against the exact stack
-    (see `repro.solver.barrier.solve_barrier`).
-
-    Attributes:
-        fold: exact pair fold, or None.
-        tail: rank-structured tail, or None.
-        rest: indices of rows in neither part, shape (m_rest,).
-        rest_a: contiguous copy of those rows.
-    """
-
-    fold: PairFold | None
-    tail: RankTail | None
-    rest: np.ndarray
-    rest_a: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        a: np.ndarray,
-        *,
-        pair_plus: np.ndarray | None = None,
-        pair_minus: np.ndarray | None = None,
-        tail_rows: np.ndarray | None = None,
-        tail_steps: int = 0,
-        tail_groups: int = 0,
-        x_bound: np.ndarray | None = None,
-        tail_tol: float = 0.0,
-        tail_max_rank: int = 16,
-    ) -> "CompiledStructure | None":
-        """Build a structure plan for `a`, validating every part.
-
-        Either part may independently fail validation (rows that are not
-        exact mirrors; a tail whose certified error exceeds `tail_tol`) —
-        the failed part is simply omitted.  Returns None when nothing
-        could be exploited.
-        """
-        m = a.shape[0]
-        fold = None
-        if pair_plus is not None and pair_minus is not None:
-            fold = PairFold.detect(a, pair_plus, pair_minus)
-        tail = None
-        if tail_rows is not None and x_bound is not None:
-            tail = RankTail.build(
-                a,
-                tail_rows,
-                tail_steps,
-                tail_groups,
-                x_bound,
-                tail_tol,
-                tail_max_rank,
-            )
-        if fold is None and tail is None:
-            return None
-        covered = np.zeros(m, dtype=bool)
-        if fold is not None:
-            covered[fold.plus] = True
-            covered[fold.minus] = True
-        if tail is not None:
-            covered[tail.rows] = True
-        rest = np.nonzero(~covered)[0]
-        return cls(
-            fold=fold,
-            tail=tail,
-            rest=rest,
-            rest_a=np.ascontiguousarray(a[rest]),
-        )
-
-    def without_tail(self, a: np.ndarray) -> "CompiledStructure | None":
-        """Fold-only variant of this plan (tail rows move to the exact rest)."""
-        if self.tail is None:
-            return self
-        if self.fold is None:
-            return None
-        rest = np.sort(np.concatenate([self.rest, self.tail.rows]))
-        return CompiledStructure(
-            fold=self.fold,
-            tail=None,
-            rest=rest,
-            rest_a=np.ascontiguousarray(a[rest]),
-        )
-
-    def bind_rhs(self, b: np.ndarray) -> "StructureRHS":
-        """Gather `b` into the plan's row partition, once per RHS bind.
-
-        The structured kernels index the right-hand sides by fold/tail/rest
-        rows on *every* barrier evaluation; at this problem's size those
-        fancy-index gathers cost as much as the GEMV they accompany.
-        Binding them once per stack (`with_structure` snapshots the result)
-        moves the cost out of the Newton inner loop.  Accepts both serial
-        ``(m,)`` and batched ``(m, batch)`` right-hand sides.
-        """
-        return StructureRHS(
-            plus=(
-                np.ascontiguousarray(b[self.fold.plus])
-                if self.fold is not None
-                else None
-            ),
-            minus=(
-                np.ascontiguousarray(b[self.fold.minus])
-                if self.fold is not None
-                else None
-            ),
-            tail=(
-                np.ascontiguousarray(b[self.tail.rows])
-                if self.tail is not None
-                else None
-            ),
-            rest=np.ascontiguousarray(b[self.rest]),
-        )
-
-
-@dataclass(frozen=True)
-class StructureRHS:
-    """Right-hand sides gathered into a :class:`CompiledStructure` partition.
-
-    A pure cache: ``plus``/``minus``/``tail``/``rest`` are copies of the
-    stack's ``b`` at the plan's row indices, shaped like the ``b`` they were
-    gathered from (``(rows,)`` serial, ``(rows, batch)`` batched).  Because
-    it snapshots ``b``, it must be (re)built after any RHS mutation —
-    :meth:`CompiledConstraints.with_structure` and friends do this; callers
-    that tighten ``b`` in place must do so *before* attaching a structure.
-    """
-
-    plus: np.ndarray | None
-    minus: np.ndarray | None
-    tail: np.ndarray | None
-    rest: np.ndarray
-
-    def select(self, cols: np.ndarray) -> "StructureRHS":
-        """Batched cache restricted to the cells in index array `cols`."""
-        return StructureRHS(
-            plus=self.plus[:, cols] if self.plus is not None else None,
-            minus=self.minus[:, cols] if self.minus is not None else None,
-            tail=self.tail[:, cols] if self.tail is not None else None,
-            rest=self.rest[:, cols],
-        )
-
-
 def blocks_signature(
     blocks: list[ConstraintBlock],
 ) -> tuple[tuple[str, int], ...]:
@@ -484,10 +129,8 @@ class CompiledConstraints:
         n_vars: dimensionality of the variable vector.
         signature: per-block structural fingerprint ``(kind, rows)`` used to
             decide whether a block list is shape-compatible with this stack.
-        structure: optional :class:`CompiledStructure` evaluation plan; when
-            set, :meth:`barrier` and :meth:`barrier_value` evaluate the
-            linear rows through the fold/rank-tail fast path (feasibility
-            checks always stay exact).  Attach with :meth:`with_structure`.
+        box_unique: whether no variable appears in two box blocks (lets
+            the box barrier scatter without ``np.add.at``).
     """
 
     a: np.ndarray
@@ -499,8 +142,6 @@ class CompiledConstraints:
     n_vars: int
     signature: tuple[tuple[str, int], ...]
     box_unique: bool = True
-    structure: CompiledStructure | None = None
-    structure_rhs: StructureRHS | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -615,31 +256,6 @@ class CompiledConstraints:
             n_vars=self.n_vars,
             signature=self.signature,
             box_unique=self.box_unique,
-            structure=self.structure,
-            structure_rhs=(
-                self.structure.bind_rhs(b)
-                if self.structure is not None
-                else None
-            ),
-        )
-
-    def with_structure(
-        self, structure: CompiledStructure | None
-    ) -> "CompiledConstraints":
-        """This stack with a (possibly absent) structure plan attached.
-
-        Snapshots the structure-partitioned right-hand sides
-        (:class:`StructureRHS`), so any in-place tightening of ``b`` must
-        happen *before* this call.
-        """
-        from dataclasses import replace
-
-        return replace(
-            self,
-            structure=structure,
-            structure_rhs=(
-                structure.bind_rhs(self.b) if structure is not None else None
-            ),
         )
 
     def prune_linear_rows(self, keep: np.ndarray) -> "CompiledConstraints":
@@ -686,109 +302,6 @@ class CompiledConstraints:
         """Slacks ``b - A x`` of the stacked linear rows (> 0 inside)."""
         return self.b - self.a @ x
 
-    def _structured_linear(
-        self, x: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray] | None:
-        """Linear-row barrier terms through the structure plan.
-
-        Returns ``(value, grad, hess)`` contributions of the stacked
-        linear rows, or None when any (tail-approximated) slack hits the
-        floor.  Pure algebraic reorganization for the fold and rest parts;
-        the tail's slack/value/gradient carry its certified error bound
-        while its Hessian uses the exact rows.
-        """
-        st = self.structure
-        n = self.n_vars
-        rhs = (
-            self.structure_rhs
-            if self.structure_rhs is not None
-            else st.bind_rhs(self.b)
-        )
-        value = 0.0
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-
-        fold = st.fold
-        if fold is not None:
-            u = fold.d @ x
-            v = float(fold.c @ x)
-            sp = rhs.plus - u - v
-            sm = rhs.minus + u - v
-            if min(sp.min(), sm.min()) <= SLACK_FLOOR:
-                return None
-            ip = 1.0 / sp
-            im = 1.0 / sm
-            value -= float(np.log(sp * sm).sum())
-            grad += fold.d.T @ (ip - im)
-            grad += fold.c * float((ip + im).sum())
-            ip2 = ip * ip
-            im2 = im * im
-            w2 = ip2 + im2
-            hess += (fold.d * w2[:, None]).T @ fold.d
-            wd = fold.d.T @ (ip2 - im2)
-            hess += np.outer(wd, fold.c) + np.outer(fold.c, wd)
-            hess += float(w2.sum()) * np.outer(fold.c, fold.c)
-
-        tail = st.tail
-        if tail is not None:
-            bt = rhs.tail.reshape(tail.n_steps, tail.n_groups)
-            base_x = tail.base @ x  # (G,)
-            dir_x = (tail.dirs_flat @ x).reshape(-1, tail.n_groups)
-            sx = bt - base_x[None, :] - tail.coeffs @ dir_x  # (T, G)
-            if sx.min() <= SLACK_FLOOR:
-                return None
-            it = 1.0 / sx
-            value -= float(np.log(sx).sum())
-            grad += tail.base.T @ it.sum(axis=0)
-            weights = (tail.coeffs.T @ it).reshape(-1)  # (r * G,)
-            grad += tail.dirs_flat.T @ weights
-            it2 = (it * it).reshape(-1)
-            hess += (tail.tail_a * it2[:, None]).T @ tail.tail_a
-
-        if st.rest.size:
-            sr = rhs.rest - st.rest_a @ x
-            if sr.min() <= SLACK_FLOOR:
-                return None
-            ir = 1.0 / sr
-            value -= float(np.log(sr).sum())
-            grad += st.rest_a.T @ ir
-            hess += (st.rest_a * (ir * ir)[:, None]).T @ st.rest_a
-        return value, grad, hess
-
-    def _structured_linear_value(self, x: np.ndarray) -> float:
-        """Value-only counterpart of :meth:`_structured_linear` (no GEMM)."""
-        st = self.structure
-        rhs = (
-            self.structure_rhs
-            if self.structure_rhs is not None
-            else st.bind_rhs(self.b)
-        )
-        value = 0.0
-        fold = st.fold
-        if fold is not None:
-            u = fold.d @ x
-            v = float(fold.c @ x)
-            sp = rhs.plus - u - v
-            sm = rhs.minus + u - v
-            if min(sp.min(), sm.min()) <= SLACK_FLOOR:
-                return np.inf
-            value -= float(np.log(sp * sm).sum())
-        tail = st.tail
-        if tail is not None:
-            bt = rhs.tail.reshape(tail.n_steps, tail.n_groups)
-            base_x = tail.base @ x
-            dir_x = (tail.dirs_flat @ x).reshape(-1, tail.n_groups)
-            sx = bt - base_x[None, :] - tail.coeffs @ dir_x
-            if sx.min() <= SLACK_FLOOR:
-                return np.inf
-            value -= float(np.log(sx).sum())
-        if st.rest.size:
-            sr = rhs.rest - st.rest_a @ x
-            if sr.min() <= SLACK_FLOOR:
-                return np.inf
-            value -= float(np.log(sr).sum())
-        return value
-
     def barrier_value(self, x: np.ndarray) -> float:
         """Barrier value alone — the line-search fast path.
 
@@ -799,16 +312,10 @@ class CompiledConstraints:
         """
         value = 0.0
         if self.a.shape[0]:
-            if self.structure is not None:
-                lin = self._structured_linear_value(x)
-                if not np.isfinite(lin):
-                    return np.inf
-                value += lin
-            else:
-                slack = self.b - self.a @ x
-                if np.any(slack <= SLACK_FLOOR):
-                    return np.inf
-                value -= float(np.log(slack).sum())
+            slack = self.b - self.a @ x
+            if np.any(slack <= SLACK_FLOOR):
+                return np.inf
+            value -= float(np.log(slack).sum())
         if self.box_indices.size:
             vals = x[self.box_indices]
             lo_slack = vals - self.box_lower
@@ -840,14 +347,7 @@ class CompiledConstraints:
         grad = np.zeros(n)
         hess = np.zeros((n, n))
 
-        if self.a.shape[0] and self.structure is not None:
-            lin = self._structured_linear(x)
-            if lin is None:
-                return np.inf, grad, hess
-            value += lin[0]
-            grad += lin[1]
-            hess += lin[2]
-        elif self.a.shape[0]:
+        if self.a.shape[0]:
             slack = self.b - self.a @ x
             if np.any(slack <= SLACK_FLOOR):
                 return np.inf, grad, hess
@@ -892,6 +392,38 @@ class CompiledConstraints:
             hess += b_hess
         return value, grad, hess
 
+    def barrier_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of the total log barrier at `x`, without the Hessian.
+
+        ``grad / t`` is ``sum_i lambda_i grad f_i(x)`` under the barrier's
+        own multipliers ``lambda_i = 1 / (t * slack_i)``, so
+        ``c + barrier_gradient(x) / t`` is the KKT stationarity residual
+        of a linear objective ``c`` at a stage-``t`` center.  One GEMV over
+        the stack.  Returns an all-``inf`` vector outside the domain.
+        """
+        n = self.n_vars
+        grad = np.zeros(n)
+        if self.a.shape[0]:
+            slack = self.b - self.a @ x
+            if np.any(slack <= SLACK_FLOOR):
+                return np.full(n, np.inf)
+            grad += self.a.T @ (1.0 / slack)
+        if self.box_indices.size:
+            vals = x[self.box_indices]
+            lo_slack = vals - self.box_lower
+            hi_slack = self.box_upper - vals
+            if np.any(lo_slack <= SLACK_FLOOR) or np.any(
+                hi_slack <= SLACK_FLOOR
+            ):
+                return np.full(n, np.inf)
+            np.add.at(grad, self.box_indices, -1.0 / lo_slack + 1.0 / hi_slack)
+        for block in self.nonlinear:
+            b_val, b_grad, _b_hess = block.barrier(x)
+            if not np.isfinite(b_val):
+                return np.full(n, np.inf)
+            grad += b_grad
+        return grad
+
     def max_violation(self, x: np.ndarray) -> float:
         """Largest constraint residual at `x` (<= 0 means feasible)."""
         worst = -np.inf
@@ -914,523 +446,3 @@ class CompiledConstraints:
             + 2 * int(self.box_indices.size)
             + sum(block.count() for block in self.nonlinear)
         )
-
-
-@dataclass(frozen=True)
-class BatchedCompiledConstraints:
-    """One shared constraint matrix bound to several cells' RHS vectors.
-
-    The Pro-Temp sweep solves many structurally identical programs that
-    differ only in right-hand sides: thermal/gradient offsets vary with the
-    starting temperature and the sqrt target with the frequency column.
-    This class evaluates the log barrier of *all* cells at once — slack,
-    value and gradient of every cell come out of single ``(m, B)``-shaped
-    matrix products instead of one Python round-trip per cell — which is
-    what `repro.solver.barrier.solve_barrier_batch` iterates over.
-
-    Only the block family used by the Pro-Temp program is supported:
-    stacked linear rows (shared matrix, per-cell ``b``), shared box bounds
-    with unique indices, and at most one sqrt-sum constraint with shared
-    weights and per-cell targets.
-
-    Attributes:
-        a: shared linear rows, shape (m_lin, n_vars).
-        b: per-cell right-hand sides, shape (m_lin, batch).
-        box_indices: shared box variable indices (must be unique).
-        box_lower: shared lower bounds.
-        box_upper: shared upper bounds.
-        sqrt_weights: sqrt-sum weights shared by all cells (or None).
-        sqrt_indices: sqrt-sum variable indices (or None).
-        sqrt_targets: per-cell sqrt-sum targets, shape (batch,) (or None).
-        n_vars: dimensionality of each cell's variable vector.
-        structure: optional shared :class:`CompiledStructure` plan (the
-            matrix is shared, so one plan serves every cell); same
-            semantics as on :class:`CompiledConstraints`.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    box_indices: np.ndarray
-    box_lower: np.ndarray
-    box_upper: np.ndarray
-    sqrt_weights: np.ndarray | None
-    sqrt_indices: np.ndarray | None
-    sqrt_targets: np.ndarray | None
-    n_vars: int
-    structure: CompiledStructure | None = None
-    structure_rhs: StructureRHS | None = None
-
-    @classmethod
-    def from_cells(
-        cls, cells: list[CompiledConstraints]
-    ) -> "BatchedCompiledConstraints":
-        """Bind the shared matrix of per-cell compiled stacks to a batch.
-
-        Args:
-            cells: per-cell stacks produced by `with_blocks` rebinds of one
-                compiled template (identical matrix part and signature).
-
-        Raises:
-            SolverError: when the cells do not share structure, a box index
-                repeats, or a nonlinear block is not a lone sqrt-sum with
-                shared weights.
-        """
-        from repro.solver.problem import SqrtSumConstraint  # avoid cycle
-
-        if not cells:
-            raise SolverError("batched stack needs at least one cell")
-        first = cells[0]
-        for cell in cells[1:]:
-            if cell.signature != first.signature or cell.a.shape != first.a.shape:
-                raise SolverError("batched cells must share structure")
-            if cell.a is not first.a and not np.array_equal(cell.a, first.a):
-                raise SolverError("batched cells must share the matrix part")
-            if not np.array_equal(cell.box_indices, first.box_indices):
-                raise SolverError("batched cells must share box indices")
-            if not np.array_equal(
-                cell.box_lower, first.box_lower
-            ) or not np.array_equal(cell.box_upper, first.box_upper):
-                raise SolverError("batched cells must share box bounds")
-        if not first.box_unique:
-            raise SolverError("batched stack needs unique box indices")
-        sqrt_weights = sqrt_indices = sqrt_targets = None
-        if first.nonlinear:
-            if len(first.nonlinear) != 1 or not isinstance(
-                first.nonlinear[0], SqrtSumConstraint
-            ):
-                raise SolverError(
-                    "batched stack supports at most one sqrt-sum block"
-                )
-            blocks = [cell.nonlinear[0] for cell in cells]
-            sqrt_weights = np.asarray(blocks[0].weights, dtype=float)
-            sqrt_indices = np.asarray(blocks[0].indices, dtype=int)
-            for block in blocks[1:]:
-                if not np.array_equal(block.weights, sqrt_weights):
-                    raise SolverError(
-                        "batched cells must share sqrt weights"
-                    )
-            sqrt_targets = np.array(
-                [float(block.target) for block in blocks]
-            )
-        b = np.column_stack([cell.b for cell in cells])
-        structure = (
-            first.structure
-            if all(cell.structure is first.structure for cell in cells)
-            else None
-        )
-        return cls(
-            a=first.a,
-            b=b,
-            box_indices=first.box_indices,
-            box_lower=first.box_lower,
-            box_upper=first.box_upper,
-            sqrt_weights=sqrt_weights,
-            sqrt_indices=sqrt_indices,
-            sqrt_targets=sqrt_targets,
-            n_vars=first.n_vars,
-            structure=structure,
-            structure_rhs=(
-                structure.bind_rhs(b) if structure is not None else None
-            ),
-        )
-
-    def with_structure(
-        self, structure: CompiledStructure | None
-    ) -> "BatchedCompiledConstraints":
-        """This stack with a (possibly absent) structure plan attached.
-
-        Snapshots the structure-partitioned right-hand sides
-        (:class:`StructureRHS`), so any in-place tightening of ``b`` must
-        happen *before* this call.
-        """
-        from dataclasses import replace
-
-        return replace(
-            self,
-            structure=structure,
-            structure_rhs=(
-                structure.bind_rhs(self.b) if structure is not None else None
-            ),
-        )
-
-    @property
-    def batch(self) -> int:
-        """Number of cells bound to the shared matrix."""
-        return int(self.b.shape[1]) if self.b.ndim == 2 else 0
-
-    def count(self) -> int:
-        """Scalar constraints per cell (identical across the batch)."""
-        return (
-            int(self.a.shape[0])
-            + 2 * int(self.box_indices.size)
-            + (1 if self.sqrt_targets is not None else 0)
-        )
-
-    def select(self, cols: np.ndarray) -> "BatchedCompiledConstraints":
-        """Stack bound to only the cells selected by index array `cols`."""
-        cols = np.asarray(cols, dtype=int)
-        return BatchedCompiledConstraints(
-            a=self.a,
-            b=self.b[:, cols],
-            box_indices=self.box_indices,
-            box_lower=self.box_lower,
-            box_upper=self.box_upper,
-            sqrt_weights=self.sqrt_weights,
-            sqrt_indices=self.sqrt_indices,
-            sqrt_targets=(
-                self.sqrt_targets[cols]
-                if self.sqrt_targets is not None
-                else None
-            ),
-            n_vars=self.n_vars,
-            structure=self.structure,
-            structure_rhs=(
-                self.structure_rhs.select(cols)
-                if self.structure_rhs is not None
-                else None
-            ),
-        )
-
-    def prune_linear_rows(
-        self, keep: np.ndarray
-    ) -> "BatchedCompiledConstraints":
-        """Batched analogue of `CompiledConstraints.prune_linear_rows`."""
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (self.a.shape[0],):
-            raise SolverError(
-                f"prune mask has shape {keep.shape}, expected "
-                f"({self.a.shape[0]},)"
-            )
-        return BatchedCompiledConstraints(
-            a=np.ascontiguousarray(self.a[keep]),
-            b=self.b[keep],
-            box_indices=self.box_indices,
-            box_lower=self.box_lower,
-            box_upper=self.box_upper,
-            sqrt_weights=self.sqrt_weights,
-            sqrt_indices=self.sqrt_indices,
-            sqrt_targets=self.sqrt_targets,
-            n_vars=self.n_vars,
-        )
-
-    def _rhs_for(self, cols: np.ndarray) -> StructureRHS:
-        """Structure-partitioned RHS columns for the cells in `cols`.
-
-        Uses the :class:`StructureRHS` snapshot (building it on the fly if
-        the stack was assembled without one) and skips the column slice
-        entirely for the common whole-batch evaluation.
-        """
-        rhs = (
-            self.structure_rhs
-            if self.structure_rhs is not None
-            else self.structure.bind_rhs(self.b)
-        )
-        k = self.b.shape[1] if self.b.ndim == 2 else 0
-        if cols.size == k and np.array_equal(cols, np.arange(k)):
-            return rhs
-        return rhs.select(cols)
-
-    def _structured_linear_batch(
-        self, x: np.ndarray, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Structured linear-row terms for a batch of columns.
-
-        Returns ``(alive, values, grads, hessians)`` contributions of the
-        stacked linear rows; cells whose (tail-approximated) slacks hit
-        the floor come back with ``alive`` False and garbage derivatives,
-        matching the serial protocol.  Every cell is evaluated densely on
-        floor-clamped slacks — the clamp is the identity for alive cells
-        (bit-identical values) and merely keeps dead cells' arithmetic
-        finite, which avoids the per-call column gathers and masked
-        scatters that used to dominate at this problem size.
-        """
-        st = self.structure
-        n = self.n_vars
-        k = x.shape[1]
-        rhs = self._rhs_for(cols)
-        values = np.zeros(k)
-        grads = np.zeros((k, n))
-        hessians = np.zeros((k, n, n))
-        alive = np.ones(k, dtype=bool)
-
-        fold = st.fold
-        if fold is not None:
-            u = fold.d @ x  # (P, k)
-            v = fold.c @ x  # (k,)
-            sp = rhs.plus - u - v[None, :]
-            sm = rhs.minus + u - v[None, :]
-            alive &= np.minimum(sp.min(axis=0), sm.min(axis=0)) > SLACK_FLOOR
-            np.maximum(sp, SLACK_FLOOR, out=sp)
-            np.maximum(sm, SLACK_FLOOR, out=sm)
-            values -= np.log(sp * sm).sum(axis=0)
-            ip = 1.0 / sp
-            im = 1.0 / sm
-            grads += (fold.d.T @ (ip - im)).T
-            grads += (ip + im).sum(axis=0)[:, None] * fold.c[None, :]
-            ip2 = ip * ip
-            im2 = im * im
-            w2 = ip2 + im2  # (P, k)
-            hessians += np.matmul(
-                fold.d.T[None, :, :] * w2.T[:, None, :],
-                fold.d[None, :, :],
-            )
-            wd = (fold.d.T @ (ip2 - im2)).T  # (k, n)
-            hessians += (
-                wd[:, :, None] * fold.c[None, None, :]
-                + fold.c[None, :, None] * wd[:, None, :]
-            )
-            hessians += w2.sum(axis=0)[:, None, None] * np.outer(
-                fold.c, fold.c
-            )[None, :, :]
-
-        tail = st.tail
-        if tail is not None:
-            t_steps, groups = tail.n_steps, tail.n_groups
-            bt = rhs.tail.reshape(t_steps, groups, k)
-            base_x = tail.base @ x  # (G, k)
-            dir_x = (tail.dirs_flat @ x).reshape(-1, groups, k)
-            sx = bt - base_x[None, :, :] - np.einsum(
-                "tr,rgk->tgk", tail.coeffs, dir_x
-            )  # (T, G, k)
-            flat = sx.reshape(-1, k)
-            alive &= flat.min(axis=0) > SLACK_FLOOR
-            np.maximum(flat, SLACK_FLOOR, out=flat)  # sx shares the buffer
-            values -= np.log(flat).sum(axis=0)
-            it = 1.0 / sx
-            grads += (tail.base.T @ it.sum(axis=0)).T
-            weights = np.einsum("tr,tgk->rgk", tail.coeffs, it)
-            grads += (tail.dirs_flat.T @ weights.reshape(-1, k)).T
-            it2 = (it * it).reshape(-1, k)
-            hessians += np.matmul(
-                tail.tail_a.T[None, :, :] * it2.T[:, None, :],
-                tail.tail_a[None, :, :],
-            )
-
-        if st.rest.size:
-            sr = rhs.rest - st.rest_a @ x
-            alive &= sr.min(axis=0) > SLACK_FLOOR
-            np.maximum(sr, SLACK_FLOOR, out=sr)
-            values -= np.log(sr).sum(axis=0)
-            ir = 1.0 / sr
-            grads += (st.rest_a.T @ ir).T
-            ir2 = ir * ir
-            hessians += np.matmul(
-                st.rest_a.T[None, :, :] * ir2.T[:, None, :],
-                st.rest_a[None, :, :],
-            )
-        return alive, values, grads, hessians
-
-    def _structured_linear_value_batch(
-        self, x: np.ndarray, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(alive, values)`` of the structured linear rows (no GEMM)."""
-        st = self.structure
-        k = x.shape[1]
-        rhs = self._rhs_for(cols)
-        values = np.zeros(k)
-        alive = np.ones(k, dtype=bool)
-        fold = st.fold
-        if fold is not None:
-            u = fold.d @ x
-            v = fold.c @ x
-            sp = rhs.plus - u - v[None, :]
-            sm = rhs.minus + u - v[None, :]
-            alive &= np.minimum(sp.min(axis=0), sm.min(axis=0)) > SLACK_FLOOR
-            np.maximum(sp, SLACK_FLOOR, out=sp)
-            np.maximum(sm, SLACK_FLOOR, out=sm)
-            values -= np.log(sp * sm).sum(axis=0)
-        tail = st.tail
-        if tail is not None:
-            t_steps, groups = tail.n_steps, tail.n_groups
-            bt = rhs.tail.reshape(t_steps, groups, k)
-            base_x = tail.base @ x
-            dir_x = (tail.dirs_flat @ x).reshape(-1, groups, k)
-            sx = (
-                bt
-                - base_x[None, :, :]
-                - np.einsum("tr,rgk->tgk", tail.coeffs, dir_x)
-            ).reshape(-1, k)
-            alive &= sx.min(axis=0) > SLACK_FLOOR
-            np.maximum(sx, SLACK_FLOOR, out=sx)
-            values -= np.log(sx).sum(axis=0)
-        if st.rest.size:
-            sr = rhs.rest - st.rest_a @ x
-            alive &= sr.min(axis=0) > SLACK_FLOOR
-            np.maximum(sr, SLACK_FLOOR, out=sr)
-            values -= np.log(sr).sum(axis=0)
-        return alive, values
-
-    def _b_for(self, cols: np.ndarray) -> np.ndarray:
-        """Per-cell RHS columns, skipping the gather for whole-batch calls."""
-        k = self.b.shape[1] if self.b.ndim == 2 else 0
-        if cols.size == k and np.array_equal(cols, np.arange(k)):
-            return self.b
-        return self.b[:, cols]
-
-    def barrier_value(
-        self, x: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Barrier values alone for selected cells (line-search fast path).
-
-        Identical arithmetic to ``barrier(x, cols)[0]``, skipping every
-        gradient/Hessian product.  Dead cells (any slack at the floor) are
-        evaluated densely on floor-clamped slacks — the clamp is the
-        identity for alive cells — and reported as ``inf``.
-        """
-        k = x.shape[1]
-        values = np.zeros(k)
-        alive = np.ones(k, dtype=bool)
-
-        if self.a.shape[0] and self.structure is not None:
-            lin_alive, lin_values = self._structured_linear_value_batch(
-                x, cols
-            )
-            alive &= lin_alive
-            values += lin_values
-        elif self.a.shape[0]:
-            slack = self._b_for(cols) - self.a @ x
-            alive &= slack.min(axis=0) > SLACK_FLOOR
-            np.maximum(slack, SLACK_FLOOR, out=slack)
-            values -= np.log(slack).sum(axis=0)
-
-        if self.box_indices.size:
-            vals = x[self.box_indices, :]
-            lo_slack = vals - self.box_lower[:, None]
-            hi_slack = self.box_upper[:, None] - vals
-            alive &= (
-                np.minimum(lo_slack.min(axis=0), hi_slack.min(axis=0))
-                > SLACK_FLOOR
-            )
-            np.maximum(lo_slack, SLACK_FLOOR, out=lo_slack)
-            np.maximum(hi_slack, SLACK_FLOOR, out=hi_slack)
-            values -= np.log(lo_slack).sum(axis=0) + np.log(hi_slack).sum(
-                axis=0
-            )
-
-        if self.sqrt_targets is not None:
-            vals = x[self.sqrt_indices, :]
-            alive &= vals.min(axis=0) > 0
-            roots = np.sqrt(np.where(vals > 0, vals, 1.0))
-            slack = self.sqrt_weights @ roots - self.sqrt_targets[cols]
-            alive &= slack > SLACK_FLOOR
-            np.maximum(slack, SLACK_FLOOR, out=slack)
-            values -= np.log(slack)
-
-        values[~alive] = np.inf
-        return values
-
-    def barrier(
-        self, x: np.ndarray, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Barrier value, gradient and Hessian of selected cells.
-
-        Args:
-            x: variable columns, shape (n_vars, len(cols)).
-            cols: batch indices selecting which cells' RHS each column of
-                `x` is evaluated against.
-
-        Returns:
-            ``(values, grads, hessians)`` with shapes ``(k,)``, ``(k, n)``
-            and ``(k, n, n)``; a cell outside its domain gets ``inf`` value
-            and garbage derivatives, matching the serial protocol.
-        """
-        n = self.n_vars
-        k = x.shape[1]
-        values = np.zeros(k)
-        grads = np.zeros((k, n))
-        hessians = np.zeros((k, n, n))
-        alive = np.ones(k, dtype=bool)
-
-        if self.a.shape[0] and self.structure is not None:
-            lin_alive, lin_values, lin_grads, lin_hessians = (
-                self._structured_linear_batch(x, cols)
-            )
-            alive &= lin_alive
-            values += lin_values
-            grads += lin_grads
-            hessians += lin_hessians
-        elif self.a.shape[0]:
-            slack = self._b_for(cols) - self.a @ x  # (m, k)
-            alive &= slack.min(axis=0) > SLACK_FLOOR
-            # Floor-clamp instead of masking: the clamp is the identity for
-            # alive cells (their slacks already exceed the floor), keeps the
-            # dead cells' arithmetic finite, and lets every product below
-            # run densely over the whole batch — no boolean gathers, no
-            # masked scatters, one GEMM for all Hessians.
-            np.maximum(slack, SLACK_FLOOR, out=slack)
-            inv = 1.0 / slack
-            values -= np.log(slack).sum(axis=0)
-            grads += (self.a.T @ inv).T
-            inv2 = inv * inv
-            hessians += np.matmul(
-                self.a.T[None, :, :] * inv2.T[:, None, :],
-                self.a[None, :, :],
-            )
-
-        if self.box_indices.size:
-            vals = x[self.box_indices, :]  # (n_box, k)
-            lo_slack = vals - self.box_lower[:, None]
-            hi_slack = self.box_upper[:, None] - vals
-            alive &= (
-                np.minimum(lo_slack.min(axis=0), hi_slack.min(axis=0))
-                > SLACK_FLOOR
-            )
-            np.maximum(lo_slack, SLACK_FLOOR, out=lo_slack)
-            np.maximum(hi_slack, SLACK_FLOOR, out=hi_slack)
-            values -= np.log(lo_slack).sum(axis=0) + np.log(hi_slack).sum(
-                axis=0
-            )
-            grads[:, self.box_indices] += (
-                -1.0 / lo_slack + 1.0 / hi_slack
-            ).T
-            hessians[:, self.box_indices, self.box_indices] += (
-                1.0 / lo_slack**2 + 1.0 / hi_slack**2
-            ).T
-
-        if self.sqrt_targets is not None:
-            vals = x[self.sqrt_indices, :]  # (n_sqrt, k)
-            alive &= vals.min(axis=0) > 0
-            roots = np.sqrt(np.where(vals > 0, vals, 1.0))
-            slack = (
-                self.sqrt_weights @ roots - self.sqrt_targets[cols]
-            )  # (k,)
-            alive &= slack > SLACK_FLOOR
-            np.maximum(slack, SLACK_FLOOR, out=slack)
-            dg = -self.sqrt_weights[:, None] / (2.0 * roots)  # (n_sqrt, k)
-            d2g = self.sqrt_weights[:, None] / (4.0 * roots**3)
-            values -= np.log(slack)
-            g = (dg / slack).T  # (k, n_sqrt)
-            grads[:, self.sqrt_indices] += g
-            hessians[
-                :, self.sqrt_indices[:, None], self.sqrt_indices[None, :]
-            ] += g[:, :, None] * g[:, None, :]
-            hessians[:, self.sqrt_indices, self.sqrt_indices] += (
-                d2g / slack
-            ).T
-
-        values[~alive] = np.inf
-        return values, grads, hessians
-
-    def max_violation(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Largest residual per selected cell (<= 0 means feasible)."""
-        k = x.shape[1]
-        worst = np.full(k, -np.inf)
-        if self.a.shape[0]:
-            worst = np.maximum(
-                worst, (self.a @ x - self.b[:, cols]).max(axis=0)
-            )
-        if self.box_indices.size:
-            vals = x[self.box_indices, :]
-            worst = np.maximum(
-                worst, (self.box_lower[:, None] - vals).max(axis=0)
-            )
-            worst = np.maximum(
-                worst, (vals - self.box_upper[:, None]).max(axis=0)
-            )
-        if self.sqrt_targets is not None:
-            vals = np.clip(x[self.sqrt_indices, :], 0.0, None)
-            worst = np.maximum(
-                worst,
-                self.sqrt_targets[cols] - self.sqrt_weights @ np.sqrt(vals),
-            )
-        return np.where(np.isfinite(worst), worst, 0.0)

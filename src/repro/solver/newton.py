@@ -143,184 +143,6 @@ def minimize_newton(
     return NewtonOutcome(x, value, opts.max_iterations, converged=False)
 
 
-@dataclass
-class BatchNewtonOutcome:
-    """Result of a lockstep batched Newton minimization.
-
-    Attributes:
-        x: final iterates, shape (n, batch).
-        values: objective values per cell.
-        iterations: Newton steps taken per cell.
-        converged: per-cell convergence flags.
-    """
-
-    x: np.ndarray
-    values: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-
-
-#: Batched evaluation: maps columns (n, k) plus their batch indices (k,) to
-#: per-cell (values (k,), gradients (k, n), Hessians (k, n, n)).
-BatchValueGradHess = Callable[
-    [np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
-]
-
-
-def minimize_newton_batch(
-    func: BatchValueGradHess,
-    x0: np.ndarray,
-    options: NewtonOptions | None = None,
-    value_func: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> BatchNewtonOutcome:
-    """Minimize several independent smooth convex cells in lockstep.
-
-    Each column of `x0` is an independent minimization sharing the same
-    evaluation machinery (one batched `func` call advances every still-
-    active cell — see `repro.solver.compiled.BatchedCompiledConstraints`).
-    The iteration matches :func:`minimize_newton` cell-wise: damped Newton
-    with per-cell backtracking line search; cells drop out of the batch as
-    their decrement criterion is met.
-
-    Args:
-        func: batched ``(columns, batch_indices) -> (values, grads,
-            hessians)`` evaluator; must be finite at every start column.
-        x0: starting columns, shape (n, batch); each strictly feasible.
-        options: see :class:`NewtonOptions`.
-        value_func: optional value-only evaluator ``(columns, batch
-            indices) -> values``, arithmetically identical to
-            ``func(...)[0]``.  When given, line-search rounds evaluate
-            values only; cells that accepted a step get one shared full
-            evaluation per iteration to refresh their derivatives.
-
-    Returns:
-        A :class:`BatchNewtonOutcome`.
-
-    Raises:
-        SolverError: if any start column is outside the domain.
-    """
-    opts = options or NewtonOptions()
-    x = np.asarray(x0, dtype=float).copy()
-    n, batch = x.shape
-    all_cols = np.arange(batch)
-    values, grads, hessians = func(x, all_cols)
-    if not np.all(np.isfinite(values)):
-        raise SolverError("batched Newton start point outside the domain")
-
-    iterations = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    active = np.ones(batch, dtype=bool)
-    stalled = np.zeros(batch, dtype=int)
-    eye = np.eye(n)
-
-    for _ in range(opts.max_iterations):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        g = grads[idx]
-        h = hessians[idx]
-        steps = _newton_step_batch(h, g, opts.regularization, eye)
-        decrement_sq = -np.einsum("ki,ki->k", g, steps)
-        redo = decrement_sq < 0
-        if np.any(redo):
-            steps[redo] = _newton_step_batch(
-                h[redo],
-                g[redo],
-                max(opts.regularization * 1e4, 1e-8),
-                eye,
-            )
-            decrement_sq[redo] = np.maximum(
-                -np.einsum("ki,ki->k", g[redo], steps[redo]), 0.0
-            )
-        done = decrement_sq / 2.0 <= opts.tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        idx = idx[~done]
-        if idx.size == 0:
-            break
-        steps = steps[~done]
-        decrement_sq = decrement_sq[~done]
-        iterations[idx] += 1
-
-        # Per-cell backtracking line search, evaluated on the shrinking
-        # set of cells that have not yet accepted a step.
-        t = np.ones(idx.size)
-        pending = np.arange(idx.size)
-        refresh: list[np.ndarray] = []
-        while pending.size:
-            cols = idx[pending]
-            candidates = x[:, cols] + t[pending] * steps[pending].T
-            if value_func is None:
-                c_vals, c_grads, c_hess = func(candidates, cols)
-            else:
-                c_vals = value_func(candidates, cols)
-            accept = np.isfinite(c_vals) & (
-                c_vals
-                <= values[cols]
-                - opts.alpha * t[pending] * decrement_sq[pending]
-            )
-            if np.any(accept):
-                acc_cols = cols[accept]
-                progress = values[acc_cols] - c_vals[accept]
-                small = progress <= opts.stall_tolerance * np.maximum(
-                    1.0, np.abs(values[acc_cols])
-                )
-                stalled[acc_cols] = np.where(small, stalled[acc_cols] + 1, 0)
-                x[:, acc_cols] = candidates[:, accept]
-                values[acc_cols] = c_vals[accept]
-                if value_func is None:
-                    grads[acc_cols] = c_grads[accept]
-                    hessians[acc_cols] = c_hess[accept]
-                else:
-                    refresh.append(acc_cols)
-                frozen = acc_cols[
-                    stalled[acc_cols] >= opts.stall_iterations
-                ]
-                if frozen.size:
-                    # Numerically stopped moving: report converged.
-                    converged[frozen] = True
-                    active[frozen] = False
-            rejected = pending[~accept]
-            t[rejected] *= opts.beta
-            exhausted = t[rejected] < 1e-14
-            if np.any(exhausted):
-                # No progress possible: freeze those cells as converged,
-                # matching the serial line-search fallback.
-                frozen = idx[rejected[exhausted]]
-                converged[frozen] = True
-                active[frozen] = False
-                rejected = rejected[~exhausted]
-            pending = rejected
-        if value_func is not None and refresh:
-            # One shared full evaluation refreshes the derivatives of every
-            # cell that accepted a step and is still iterating.
-            ref = np.concatenate(refresh)
-            ref = ref[active[ref]]
-            if ref.size:
-                _vals, r_grads, r_hess = func(x[:, ref], ref)
-                grads[ref] = r_grads
-                hessians[ref] = r_hess
-
-    return BatchNewtonOutcome(
-        x=x, values=values, iterations=iterations, converged=converged
-    )
-
-
-def _newton_step_batch(
-    hess: np.ndarray, grad: np.ndarray, regularization: float, eye: np.ndarray
-) -> np.ndarray:
-    """Batched ``H step = -grad`` solve with escalating regularization."""
-    reg = regularization
-    for _ in range(6):
-        try:
-            return np.linalg.solve(hess + reg * eye, -grad[..., None])[
-                ..., 0
-            ]
-        except np.linalg.LinAlgError:
-            reg = max(reg * 100.0, 1e-12)
-    raise SolverError("batched Newton step solve failed with regularization")
-
-
 def _newton_step(
     hess: np.ndarray, grad: np.ndarray, regularization: float
 ) -> np.ndarray:

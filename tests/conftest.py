@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.analysis.cache import clear_memory_cache
 from repro.core import ProTempOptimizer, build_frequency_table
 from repro.floorplan import core_row
 from repro.platform import Platform
@@ -45,13 +44,6 @@ def coarse_table(niagara):
     t_grid = [70.0, 85.0, 95.0, 100.0]
     f_grid = [mhz(f) for f in (200, 400, 600, 800, 1000)]
     return build_frequency_table(optimizer, t_grid, f_grid)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_table_cache():
-    """Keep the analysis-layer memory cache from leaking across tests."""
-    yield
-    clear_memory_cache()
 
 
 @pytest.fixture

@@ -29,6 +29,29 @@ class TestParser:
         assert args.seed == 3
 
 
+class TestTableCacheDir:
+    def test_cache_file_instead_of_directory_rejected(self, tmp_path, capsys):
+        """A file where the table-cache directory belongs (e.g. an old
+        single-file cache passed as `--table-cache FILE`) is a usage
+        error, not a traceback."""
+        old_cache = tmp_path / "table.json"
+        old_cache.write_text("{}")
+        assert main(["table", "--table-cache", str(old_cache)]) == 2
+        assert "is a file" in capsys.readouterr().err
+
+    def test_table_command_reuses_cache_dir(self, tmp_path, capsys):
+        """`table` takes its table from the runner's cache: the first run
+        writes one JSON table, the second loads it and prints the same."""
+        cache = tmp_path / "tables"
+        outputs = []
+        for _ in range(2):
+            assert main(["table", "--table-cache-dir", str(cache)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(list(cache.glob("table_*.json"))) == 1
+        assert outputs[0] == outputs[1]
+        assert "infeasible" in outputs[0]
+
+
 class TestScenarioCommands:
     def test_commands_parse(self):
         parser = build_parser()

@@ -22,6 +22,8 @@ from repro.analysis.experiments import (
     run_waiting_comparison,
 )
 from repro.control import BasicDFSPolicy, NoTCPolicy, ProTempPolicy
+from repro.core import ProTempOptimizer
+from repro.scenario.specs import DEFAULT_STEP_SUBSAMPLE
 from repro.sim import CoolestFirstAssignment, FirstIdleAssignment
 from repro.units import to_mhz
 from repro.workloads import (
@@ -188,14 +190,19 @@ class TestAssignmentRegression:
         assert new.protemp_gradient_coolest == pro_cf.metrics.gradient.mean
 
 
+def legacy_optimizer(platform, *, mode):
+    """The optimizer the figure probes were wired to before the runner."""
+    return ProTempOptimizer(
+        platform, mode=mode, step_subsample=DEFAULT_STEP_SUBSAMPLE
+    )
+
+
 class TestOptimizerProbeRegression:
     TEMPS = (47.0, 87.0)
 
     def test_fig9_matches_legacy_wiring(self, niagara):
-        from repro.analysis.cache import default_optimizer
-
-        uni = default_optimizer(niagara, mode="uniform")
-        var = default_optimizer(niagara, mode="variable")
+        uni = legacy_optimizer(niagara, mode="uniform")
+        var = legacy_optimizer(niagara, mode="variable")
         legacy_uniform = [
             to_mhz(uni.max_feasible_target(t)) for t in self.TEMPS
         ]
@@ -211,9 +218,7 @@ class TestOptimizerProbeRegression:
         )
 
     def test_fig10_matches_legacy_wiring(self, niagara):
-        from repro.analysis.cache import default_optimizer
-
-        optimizer = default_optimizer(niagara, mode="variable")
+        optimizer = legacy_optimizer(niagara, mode="variable")
         p1_legacy, p2_legacy = [], []
         for t in self.TEMPS:
             f_max_feasible = optimizer.max_feasible_target(t)

@@ -7,11 +7,14 @@ cost.
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core import ProTempOptimizer
+from repro.core.protemp import BACKENDS
 from repro.core.table import FrequencyTable, TableProvenanceWarning
 from repro.errors import ScenarioError
 from repro.scenario import (
@@ -406,3 +409,84 @@ class TestOutcomeProvenanceSemantics:
         np.testing.assert_array_equal(
             replay.band_fractions, live.result.band_fractions
         )
+
+
+class TestBackendSelection:
+    def test_policy_spec_round_trips_backend(self):
+        spec = ScenarioSpec(
+            policy={
+                "name": "protemp",
+                "params": {"strategy": "warm", "backend": "scipy"},
+            }
+        )
+        restored = ScenarioSpec.from_dict(json.loads(spec.to_json()))
+        assert restored == spec
+        config = restored.policy.table_config()
+        assert config["strategy"] == "warm"
+        assert config["backend"] == "scipy"
+        # Table params never leak into the policy factory.
+        assert restored.policy.factory_kwargs() == {}
+
+    def test_backend_defaults_to_barrier(self):
+        assert PolicySpec().table_config()["backend"] == "barrier"
+        assert "backend" in PolicySpec.TABLE_PARAM_KEYS
+
+    def test_table_key_stable_for_default_backend(self):
+        base = PolicySpec(params={"strategy": "gen2"})
+        explicit = PolicySpec(params={"strategy": "gen2", "backend": "barrier"})
+        scipy_spec = PolicySpec(params={"strategy": "gen2", "backend": "scipy"})
+        platform = PlatformSpec()
+        assert table_key(platform, base) == table_key(platform, explicit)
+        assert table_key(platform, scipy_spec) != table_key(platform, base)
+
+    def test_unknown_backend_rejected_at_parse_with_hint(self):
+        with pytest.raises(ScenarioError, match="did you mean 'scipy'"):
+            PolicySpec(params={"backend": "scipi"})
+
+    def test_unknown_strategy_rejected_at_parse_with_hint(self):
+        with pytest.raises(ScenarioError, match="did you mean 'gen2'"):
+            PolicySpec(params={"strategy": "gen22"})
+
+    def test_unknown_backend_rejected_at_service_submit(self):
+        from repro.serving import ScenarioService
+
+        service = ScenarioService(max_workers=1)
+        try:
+            with pytest.raises(ScenarioError, match="did you mean 'scipy'"):
+                service.submit(
+                    {
+                        "workload": {"name": "compute", "duration": 1.0},
+                        "policy": {
+                            "name": "protemp",
+                            "params": {"backend": "scipi"},
+                        },
+                    }
+                )
+            assert service.jobs_payload() == []  # never became a job
+        finally:
+            service.drain()
+
+    def test_runner_threads_backend_into_optimizer(self, monkeypatch):
+        captured = {}
+        original = ProTempOptimizer.__init__
+
+        def spy(self, platform, **kwargs):
+            captured.update(kwargs)
+            original(self, platform, **kwargs)
+
+        monkeypatch.setattr(ProTempOptimizer, "__init__", spy)
+        runner = ScenarioRunner()
+        policy = PolicySpec(
+            params={
+                "t_grid": [60.0, 100.0],
+                "f_grid": [4e8, 8e8],
+                "step_subsample": 20,
+                "backend": "scipy",
+            }
+        )
+        table, hit = runner.table(PlatformSpec(name="core-row"), policy)
+        assert not hit and captured["backend"] == "scipy"
+        assert table.entries
+
+    def test_backends_constant_names_both_solvers(self):
+        assert BACKENDS == ("barrier", "scipy")

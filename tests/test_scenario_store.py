@@ -184,6 +184,20 @@ class TestStoreBackends:
         with pytest.raises(OutcomeStoreError, match="corrupt"):
             store.get(record.spec_hash)
 
+    def test_record_pinning_unknown_preset_does_not_parse(self, tmp_path):
+        """A row stored under an unknown (e.g. since deleted) sweep preset
+        is reported as unparseable, never replayed as if a surviving
+        preset built it."""
+        store = DirectoryOutcomeStore(tmp_path)
+        record = make_record()
+        store.put(record)
+        path = next(tmp_path.glob("outcome_*.jsonl"))
+        payload = json.loads(path.read_text())
+        payload["spec"]["policy"]["params"]["strategy"] = "turbo"
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(OutcomeStoreError, match="does not parse"):
+            store.get(record.spec_hash)
+
     def test_unparseable_record_reported_with_path(self, tmp_path):
         store = DirectoryOutcomeStore(tmp_path)
         (tmp_path / "outcome_deadbeefdead.jsonl").write_text("{not json\n")
@@ -494,8 +508,8 @@ class TestExperimentReplay:
 
     def test_fully_warm_figure_skips_the_table_build(self, niagara, coarse_table):
         """With every cell in the store, a figure reducer in a fresh
-        process must not pay the Phase-1 build: the table is primed
-        lazily and never materialized."""
+        process must not pay the Phase-1 build: a replay never resolves
+        a table, so the figure's runner builds none."""
         from unittest import mock
 
         from repro.analysis import experiments as experiments_mod
@@ -508,15 +522,22 @@ class TestExperimentReplay:
             table=coarse_table,
             outcome_store=store,
         )
-        # Replay without a table: cached_table must never be invoked.
+        runners: list[ScenarioRunner] = []
+
+        def recording_runner(**kwargs):
+            runners.append(ScenarioRunner(**kwargs))
+            return runners[-1]
+
+        # Replay without a table: the runner would have to build one.
         with mock.patch.object(
-            experiments_mod,
-            "cached_table",
-            side_effect=AssertionError("table built on a fully warm store"),
+            experiments_mod, "ScenarioRunner", side_effect=recording_runner
         ):
             replayed = run_waiting_comparison(
                 duration=2.0, platform=niagara, outcome_store=store
             )
+        assert len(runners) == 1
+        assert runners[0].tables_built == 0
+        assert runners[0].scenarios_executed == 0
         assert replayed.basic_wait == live.basic_wait
         assert replayed.protemp_wait == live.protemp_wait
 
