@@ -10,6 +10,7 @@ Run:  python examples/design_time_table.py [out.json]
 
 import sys
 import time
+from pathlib import Path
 
 from repro import Platform
 from repro.core import ProTempOptimizer, build_frequency_table
@@ -51,6 +52,7 @@ def main() -> None:
         f"{[f'{to_mhz(f):.0f}' for f in lookup.frequencies]}"
     )
 
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     table.save_json(out_path)
     print(f"table written to {out_path}")
 

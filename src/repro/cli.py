@@ -1,16 +1,19 @@
 """Command-line interface: ``protemp <command>`` / ``python -m repro``.
 
-Three command families:
+Each command is its own subparser and takes only the positionals and
+flags its handler reads; ``protemp <command> --help`` lists them.
 
-* ``protemp <figN>`` — run one of the paper's experiments end-to-end and
-  print the figure's data as text.  Heavy experiments accept
-  ``--duration`` to trade fidelity for speed.
+* ``protemp <figN>`` / ``calibration`` / ``table`` — run one of the
+  paper's experiments end-to-end and print the figure's data as text.
+  Trace-driven figures accept ``--duration`` to trade fidelity for speed.
 * ``protemp run <config.json>`` — expand a declarative scenario config
   (see `repro.scenario.specs.scenario_grid_from_config`) and execute the
   grid on a :class:`~repro.scenario.ScenarioRunner`, optionally over a
   process pool (``--workers``), restricted to one deterministic shard
   (``--shard i/n``), and/or backed by a persistent scenario-outcome cache
   (``--outcome-store DIR``; see `repro.scenario.store`).
+* ``protemp tournament <config.json>`` — the same grid run, reduced to a
+  ranked head-to-head of its policies.
 * ``protemp merge <store>...`` — union the outcome sets of several
   stores (shards of one grid, or several runs; directories and sqlite
   files mix freely), detect spec-hash collisions and conflicting
@@ -45,6 +48,11 @@ Three command families:
 metadata when installed, the source tree's ``repro.__version__``
 otherwise).
 
+Usage errors — an unknown command or flag, a missing or extra
+positional, a bad value — print one message per problem to stderr and
+make :func:`main` return 2.  A flag the command does not take is named
+together with the commands that take it, or the command's closest flag.
+
 See docs/SCALING.md for the sharded-grid walkthrough and docs/SERVING.md
 for the service endpoints and event schema.
 """
@@ -56,7 +64,9 @@ import importlib.metadata
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from repro.analysis import (
     ascii_plot,
@@ -98,7 +108,7 @@ EXPERIMENTS = (
     "table",
 )
 
-#: Scenario-API commands sharing the positional slot with the experiments.
+#: Scenario-API and tooling commands, after the experiments in ``--help``.
 COMMANDS = (
     "run",
     "tournament",
@@ -139,234 +149,158 @@ _REGISTRIES = (
 )
 
 
-class _HintingArgumentParser(argparse.ArgumentParser):
-    """Argparse with did-you-mean hints for unknown subcommands.
+def _positive_int(text: str) -> int:
+    """Argparse type of ``--workers`` and ``--queue-capacity``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
 
-    Unknown-subcommand failures exit with the same code (2) and message
-    shape as every other unknown-name error in the package
-    (:func:`repro.errors.did_you_mean`): ``protemp: unknown command
-    'serv'; did you mean 'serve'?``.
+
+def _table_cache_dir(text: str) -> str:
+    """Argparse type of ``--table-cache-dir``: a directory, never a file."""
+    if Path(text).is_file():
+        raise argparse.ArgumentTypeError(
+            f"{text} is a file; give a directory of table caches"
+        )
+    return text
+
+
+#: Every flag's argparse declaration; each command's entry in
+#: :data:`_COMMANDS` names the flags it takes.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--duration": dict(type=float, metavar="S", help=(
+        "simulated seconds for trace-driven experiments")),
+    "--seed": dict(type=int, default=7, help="workload random seed"),
+    "--workers": dict(type=_positive_int, metavar="N", help=(
+        "worker count: the process pool of 'run' and 'tournament' "
+        "(default: serial), the service's worker threads (default 2)")),
+    "--table-cache-dir": dict(type=_table_cache_dir, metavar="DIR", help=(
+        "directory of persistent Phase-1 table caches")),
+    "--shard": dict(metavar="I/N", help=(
+        "run only shard I of N (0-based) of the expanded grid; the slicing "
+        "hashes specs, so N hosts running I=0..N-1 cover the grid once")),
+    "--outcome-store": dict(metavar="STORE", help=(
+        "persistent scenario-outcome store: stored cells are replayed, "
+        "fresh cells written back; a directory, a *.sqlite/*.db file, or "
+        "a sqlite:/dir: URL")),
+    "--output": dict(metavar="STORE", help=(
+        "write the merged outcome store here")),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--host": dict(help="bind address (default 127.0.0.1)"),
+    "--port": dict(type=int, help="TCP port (default 8765; 0 picks one)"),
+    "--stdin": dict(action="store_true", help=(
+        "read one config JSON per stdin line and write NDJSON events to "
+        "stdout instead of serving HTTP")),
+    "--url": dict(metavar="URL", help=(
+        "base URL of the running service (default http://127.0.0.1:8765)")),
+    "--rule": dict(action="append", metavar="ID", help=(
+        "run just this rule (repeatable, e.g. --rule PT001 --rule PT004; "
+        "default: all rules)")),
+    "--state": dict(metavar="FILE", help=(
+        "SQLite job journal: 'serve' writes it, so a restarted service "
+        "re-enqueues interrupted jobs and idempotency keys survive "
+        "restarts; 'report' summarizes it")),
+    "--idempotency-key": dict(metavar="KEY", help=(
+        "retry token: resubmitting the same config under the same key "
+        "streams the existing job instead of running it twice")),
+    "--priority": dict(type=int, metavar="N", help=(
+        "scheduling priority (higher runs first; default 0)")),
+    "--queue-capacity": dict(type=_positive_int, metavar="N", help=(
+        "admission-control limit: reject submissions with 429 once this "
+        "many scenario cells are accepted but not yet finished (default: "
+        "unbounded)")),
+    "--metrics": dict(metavar="FILE", help=(
+        "a saved /metrics JSON snapshot to summarize into per-phase "
+        "timing tables")),
+    "--tournament": dict(action="store_true", help=(
+        "also rank the given outcome stores head to head (the reducer of "
+        "'protemp tournament')")),
+}
+
+#: Near-synonyms that difflib does not pair (ratio 0.52, under
+#: `did_you_mean`'s 0.6 cutoff): 'merge' writes its union to --output,
+#: the grid commands read and write --outcome-store.
+_SYNONYMS = {"--outcome-store": "--output", "--output": "--outcome-store"}
+
+
+class _UsageError(SystemExit):
+    """A usage error, already reported on stderr.
+
+    A ``SystemExit(2)`` like argparse's own, so :func:`build_parser`
+    behaves as any parser does; :func:`main` catches it and returns 2.
     """
 
-    def error(self, message: str):
-        if "invalid choice" in message:
+
+class _HintingArgumentParser(argparse.ArgumentParser):
+    """Argparse whose usage errors name the command and carry a hint.
+
+    An unknown command gets the did-you-mean hint every other unknown-name
+    error in the package gives (:func:`repro.errors.did_you_mean`):
+    ``protemp: unknown command 'serv'; did you mean 'serve'?``.  A flag
+    the command does not take is reported by the command's own parser,
+    with the hint :func:`_flag_hint` picks.
+    """
+
+    #: The top-level parser's subparsers, by command name.
+    commands: dict[str, argparse.ArgumentParser]
+
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.commands[parsed.command].error(
+                _unrecognized(parsed.command, extras)
+            )
+        return parsed
+
+    def error(self, message: str) -> NoReturn:
+        if "invalid choice" in message:  # only the command has choices
             start = message.find("'") + 1
             bad = message[start:message.find("'", start)]
-            hint = did_you_mean(bad, EXPERIMENTS + COMMANDS) or (
-                "; see 'protemp list' for experiments and commands"
+            message = f"unknown command {bad!r}" + (
+                did_you_mean(bad, EXPERIMENTS + COMMANDS)
+                or "; see 'protemp list' for experiments and commands"
             )
-            self.print_usage(sys.stderr)
-            sys.stderr.write(
-                f"{self.prog}: unknown command {bad!r}{hint}\n"
-            )
-            sys.exit(2)
-        super().error(message)
+        self.print_usage(sys.stderr)
+        for line in message.splitlines():
+            sys.stderr.write(f"{self.prog}: {line}\n")
+        raise _UsageError(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser."""
-    parser = _HintingArgumentParser(
-        prog="protemp",
-        description=(
-            "Pro-Temp reproduction (Murali et al., DATE 2008): run the "
-            "paper's experiments, or declarative scenario grids, on "
-            "simulated multi-core platforms."
-        ),
+def _flag_hint(command: str, flag: str) -> str:
+    """Hint for a flag `command` does not take.
+
+    The command's near-synonym of the flag if it has one, else the
+    commands that take the flag, else the command's closest flag.
+    Another command's real flag says where it belongs first: difflib
+    would pair ``run --seed`` with ``--shard`` and ``submit --port`` with
+    ``--priority``.
+    """
+    own = _COMMANDS[command].flags
+    synonym = _SYNONYMS.get(flag)
+    if synonym in own:
+        return f"; did you mean {synonym!r}?"
+    owners = [name for name, entry in _COMMANDS.items() if flag in entry.flags]
+    if owners:
+        return "; it belongs to " + ", ".join(repr(name) for name in owners)
+    return did_you_mean(flag, own)
+
+
+def _unrecognized(command: str, extras: list[str]) -> str:
+    """The usage error for arguments `command` does not take: one line per
+    unknown flag, else argparse's own wording for stray positionals."""
+    flags = [arg.split("=", 1)[0] for arg in extras if arg.startswith("-")]
+    if not flags:
+        return f"unrecognized arguments: {' '.join(extras)}"
+    return "\n".join(
+        f"{flag} is not valid for {command!r}{_flag_hint(command, flag)}"
+        for flag in flags
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"protemp {package_version()}",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=EXPERIMENTS + COMMANDS,
-        help=(
-            "a paper experiment (figN), 'run' (execute a scenario config), "
-            "'tournament' (ranked head-to-head over a policy grid), "
-            "'serve'/'submit' (the long-lived scenario service), "
-            "'merge'/'migrate' (combine or convert outcome stores), "
-            "'check' (static analysis), or 'list' (show registered "
-            "components)"
-        ),
-    )
-    parser.add_argument(
-        "config",
-        nargs="?",
-        default=None,
-        help=(
-            "scenario config JSON file ('run'/'tournament'/'submit'), "
-            "first outcome store ('merge'), source store ('migrate'), or "
-            "first path to analyze ('check')"
-        ),
-    )
-    parser.add_argument(
-        "stores",
-        nargs="*",
-        default=[],
-        help=(
-            "additional outcome stores to union ('merge'), the "
-            "destination store ('migrate'), or additional paths to "
-            "analyze ('check')"
-        ),
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated seconds for trace-driven experiments",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload random seed"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size for 'run' (default: serial)",
-    )
-    parser.add_argument(
-        "--table-cache-dir",
-        default=None,
-        help=(
-            "directory of persistent Phase-1 table caches ('run', "
-            "'tournament', 'serve', the figures and 'table')"
-        ),
-    )
-    parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="I/N",
-        help=(
-            "run only shard I of N (0-based) of the expanded grid; the "
-            "slicing hashes specs, so N hosts running I=0..N-1 cover the "
-            "grid exactly once"
-        ),
-    )
-    parser.add_argument(
-        "--outcome-store",
-        default=None,
-        metavar="STORE",
-        help=(
-            "persistent scenario-outcome store: cells already in the store "
-            "are replayed instead of re-simulated, fresh cells are written "
-            "back ('run', 'serve'); a directory, a *.sqlite/*.db file, or "
-            "a sqlite:/dir: URL"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="DIR",
-        help="write the merged outcome store to this directory ('merge')",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "machine-readable output ('run', 'list'; raw NDJSON events "
-            "for 'submit')"
-        ),
-    )
-    parser.add_argument(
-        "--host",
-        default=None,
-        help="bind address for 'serve' (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="TCP port for 'serve' (default 8765)",
-    )
-    parser.add_argument(
-        "--stdin",
-        action="store_true",
-        help=(
-            "'serve' only: read one config JSON per stdin line and write "
-            "NDJSON events to stdout instead of serving HTTP"
-        ),
-    )
-    parser.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help=(
-            "base URL of the running service for 'submit' "
-            "(default http://127.0.0.1:8765)"
-        ),
-    )
-    parser.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help=(
-            "'check' only: run just this rule (repeatable, e.g. "
-            "--rule PT001 --rule PT004; default: all rules)"
-        ),
-    )
-    parser.add_argument(
-        "--state",
-        default=None,
-        metavar="FILE",
-        help=(
-            "'serve' only: journal job state to this SQLite file so a "
-            "restarted service re-enqueues interrupted jobs (finished "
-            "cells replay from the outcome store) and idempotency keys "
-            "survive restarts"
-        ),
-    )
-    parser.add_argument(
-        "--idempotency-key",
-        default=None,
-        metavar="KEY",
-        help=(
-            "'submit' only: retry token — resubmitting the same config "
-            "under the same key streams the existing job instead of "
-            "running it twice"
-        ),
-    )
-    parser.add_argument(
-        "--priority",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "'submit' only: scheduling priority for the job (higher "
-            "runs first; default 0)"
-        ),
-    )
-    parser.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "'serve' only: admission-control limit — reject submissions "
-            "with 429 once this many scenario cells are accepted but not "
-            "yet finished (default: unbounded)"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        default=None,
-        metavar="FILE",
-        help=(
-            "'report' only: a saved /metrics JSON snapshot to summarize "
-            "into per-phase timing tables"
-        ),
-    )
-    parser.add_argument(
-        "--tournament",
-        action="store_true",
-        help=(
-            "'report' only: also reduce the given outcome stores into a "
-            "ranked head-to-head tournament (same reducer as 'protemp "
-            "tournament', so a saved store re-renders its ranking)"
-        ),
-    )
-    return parser
 
 
 def list_payload() -> dict:
@@ -381,9 +315,9 @@ def list_payload() -> dict:
     return payload
 
 
-def _list_command(as_json: bool) -> int:
+def _list_command(args: argparse.Namespace) -> int:
     """``protemp list``: registered components and experiments."""
-    if as_json:
+    if args.json:
         print(json.dumps(list_payload(), indent=1, sort_keys=True))
         return 0
     for kind, registry in _REGISTRIES:
@@ -446,65 +380,9 @@ def _print_summary_table(rows: list[dict]) -> None:
         )
 
 
-def _reject_foreign_flags(
-    command: str, args: argparse.Namespace, invalid: dict[str, object]
-) -> str | None:
-    """Guard against flags that belong to a *different* subcommand.
-
-    The experiments, ``run`` and ``merge`` share one argparse namespace;
-    silently ignoring another command's flag (classic: ``merge
-    --outcome-store`` instead of ``--output``) would discard user intent.
-
-    Returns:
-        An error message, or None when no foreign flag is set.
-    """
-    used = [
-        flag
-        for flag, value in invalid.items()
-        # Identity, not equality: 0 is a meaningful value for int flags
-        # (--port 0 binds an ephemeral port) and must still be rejected.
-        if value is not None and value is not False
-    ]
-    if used:
-        return (
-            f"protemp {command}: {', '.join(used)} "
-            f"{'is' if len(used) == 1 else 'are'} not valid for '{command}'"
-        )
-    return None
-
-
 def _run_command(args: argparse.Namespace) -> int:
     """``protemp run <config.json>``: execute a scenario grid."""
-    if args.config is None:
-        print("protemp run: a scenario config JSON path is required",
-              file=sys.stderr)
-        return 2
-    if args.stores:
-        print("protemp run: takes a single config "
-              f"(unexpected arguments: {args.stores})", file=sys.stderr)
-        return 2
-    error = _reject_foreign_flags(
-        "run",
-        args,
-        {
-            "--output": args.output,
-            "--host": args.host,
-            "--port": args.port,
-            "--url": args.url,
-            "--stdin": args.stdin,
-            "--rule": args.rule,
-            "--state": args.state,
-            "--idempotency-key": args.idempotency_key,
-            "--priority": args.priority,
-            "--queue-capacity": args.queue_capacity,
-            "--metrics": args.metrics,
-            "--tournament": args.tournament,
-        },
-    )
-    if error:
-        hint = " (did you mean --outcome-store?)" if args.output else ""
-        print(f"{error}{hint}", file=sys.stderr)
-        return 2
+    started = time.time()
     runner = ScenarioRunner(
         n_workers=args.workers,
         table_cache_dir=args.table_cache_dir,
@@ -523,14 +401,15 @@ def _run_command(args: argparse.Namespace) -> int:
     rows = [outcome.summary_row() for outcome in outcomes]
     if args.json:
         print(json.dumps(rows, indent=1))
-        return 0
-    _print_summary_table(rows)
-    print(
-        f"[{len(rows)} scenarios ({runner.scenarios_executed} executed, "
-        f"{runner.outcomes_replayed} from store), "
-        f"{runner.tables_built} tables built]",
-        file=sys.stderr,
-    )
+    else:
+        _print_summary_table(rows)
+        print(
+            f"[{len(rows)} scenarios ({runner.scenarios_executed} executed, "
+            f"{runner.outcomes_replayed} from store), "
+            f"{runner.tables_built} tables built]",
+            file=sys.stderr,
+        )
+    print(f"[run finished in {time.time() - started:.1f}s]", file=sys.stderr)
     return 0
 
 
@@ -552,45 +431,7 @@ def _tournament_command(args: argparse.Namespace) -> int:
         tournament_json,
     )
 
-    if args.config is None:
-        print(
-            "protemp tournament: a scenario config JSON path is required",
-            file=sys.stderr,
-        )
-        return 2
-    if args.stores:
-        print(
-            "protemp tournament: takes a single config "
-            f"(unexpected arguments: {args.stores})",
-            file=sys.stderr,
-        )
-        return 2
-    error = _reject_foreign_flags(
-        "tournament",
-        args,
-        {
-            "--output": args.output,
-            "--host": args.host,
-            "--port": args.port,
-            "--url": args.url,
-            "--stdin": args.stdin,
-            "--rule": args.rule,
-            "--state": args.state,
-            "--idempotency-key": args.idempotency_key,
-            "--priority": args.priority,
-            "--queue-capacity": args.queue_capacity,
-            "--metrics": args.metrics,
-            "--tournament": args.tournament,
-        },
-    )
-    if error:
-        hint = (
-            " ('tournament' already ranks; the flag belongs to 'report')"
-            if args.tournament
-            else ""
-        )
-        print(f"{error}{hint}", file=sys.stderr)
-        return 2
+    started = time.time()
     runner = ScenarioRunner(
         n_workers=args.workers,
         table_cache_dir=args.table_cache_dir,
@@ -621,6 +462,8 @@ def _tournament_command(args: argparse.Namespace) -> int:
         f"{run_info['tables_built']} tables built]",
         file=sys.stderr,
     )
+    print(f"[tournament finished in {time.time() - started:.1f}s]",
+          file=sys.stderr)
     return 0
 
 
@@ -631,42 +474,8 @@ def _merge_command(args: argparse.Namespace) -> int:
     ``*.sqlite``/``*.db`` file, or a ``sqlite:``/``dir:`` URL — shards
     on different backends merge freely.
     """
-    error = _reject_foreign_flags(
-        "merge",
-        args,
-        {
-            "--outcome-store": args.outcome_store,
-            "--shard": args.shard,
-            "--workers": args.workers,
-            "--table-cache-dir": args.table_cache_dir,
-            "--host": args.host,
-            "--port": args.port,
-            "--url": args.url,
-            "--stdin": args.stdin,
-            "--rule": args.rule,
-            "--state": args.state,
-            "--idempotency-key": args.idempotency_key,
-            "--priority": args.priority,
-            "--queue-capacity": args.queue_capacity,
-            "--metrics": args.metrics,
-            "--tournament": args.tournament,
-        },
-    )
-    if error:
-        hint = (
-            " (did you mean --output?)"
-            if args.outcome_store is not None
-            else ""
-        )
-        print(f"{error}{hint}", file=sys.stderr)
-        return 2
-    paths = ([args.config] if args.config else []) + list(args.stores)
-    if not paths:
-        print("protemp merge: at least one outcome-store path is required",
-              file=sys.stderr)
-        return 2
     try:
-        merged = merge_stores(open_existing_store(p) for p in paths)
+        merged = merge_stores(open_existing_store(p) for p in args.stores)
         if args.output is not None:
             target = open_outcome_store(args.output)
             for record in merged.records:
@@ -679,7 +488,7 @@ def _merge_command(args: argparse.Namespace) -> int:
     else:
         _print_summary_table(merged.summary_rows())
     print(
-        f"[{len(merged.records)} outcomes from {len(paths)} stores "
+        f"[{len(merged.records)} outcomes from {len(args.stores)} stores "
         f"({merged.duplicates} duplicates dropped)"
         + (f" -> {args.output}" if args.output is not None else "")
         + "]",
@@ -696,37 +505,7 @@ def _migrate_command(args: argparse.Namespace) -> int:
     destination already holds, so migrating into a non-empty store is a
     union (benign duplicates skip, conflicting records abort).
     """
-    error = _reject_foreign_flags(
-        "migrate",
-        args,
-        {
-            "--outcome-store": args.outcome_store,
-            "--shard": args.shard,
-            "--workers": args.workers,
-            "--table-cache-dir": args.table_cache_dir,
-            "--output": args.output,
-            "--host": args.host,
-            "--port": args.port,
-            "--url": args.url,
-            "--stdin": args.stdin,
-            "--rule": args.rule,
-            "--state": args.state,
-            "--idempotency-key": args.idempotency_key,
-            "--priority": args.priority,
-            "--queue-capacity": args.queue_capacity,
-            "--metrics": args.metrics,
-            "--tournament": args.tournament,
-        },
-    )
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if args.config is None or len(args.stores) != 1:
-        print("protemp migrate: takes exactly a source and a destination "
-              "store (e.g. protemp migrate outcomes/ outcomes.sqlite)",
-              file=sys.stderr)
-        return 2
-    src_name, dst_name = args.config, args.stores[0]
+    src_name, dst_name = args.src, args.dst
     copied = skipped = 0
     try:
         source = open_existing_store(src_name)
@@ -774,26 +553,9 @@ def _serve_command(args: argparse.Namespace) -> int:
         serve_stdin,
     )
 
-    error = _reject_foreign_flags(
-        "serve",
-        args,
-        {
-            "--output": args.output,
-            "--shard": args.shard,
-            "--url": args.url,
-            "--rule": args.rule,
-            "--idempotency-key": args.idempotency_key,
-            "--priority": args.priority,
-            "--metrics": args.metrics,
-            "--tournament": args.tournament,
-        },
-    )
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if args.config is not None or args.stores:
-        print("protemp serve: takes no positional arguments (configs are "
-              "submitted over HTTP or stdin)", file=sys.stderr)
+    if args.stdin and (args.host is not None or args.port is not None):
+        print("protemp serve: --stdin does not take --host/--port",
+              file=sys.stderr)
         return 2
     service = ScenarioService(
         max_workers=args.workers or DEFAULT_MAX_WORKERS,
@@ -803,10 +565,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
     )
     if args.stdin:
-        if args.host is not None or args.port is not None:
-            print("protemp serve: --stdin does not take --host/--port",
-                  file=sys.stderr)
-            return 2
         return serve_stdin(service)
     return serve(
         service,
@@ -820,39 +578,6 @@ def _submit_command(args: argparse.Namespace) -> int:
     from repro.serving import DEFAULT_HOST, DEFAULT_PORT, ServiceClient
     from repro.errors import ServiceError
 
-    error = _reject_foreign_flags(
-        "submit",
-        args,
-        {
-            "--output": args.output,
-            "--shard": args.shard,
-            "--workers": args.workers,
-            "--table-cache-dir": args.table_cache_dir,
-            "--outcome-store": args.outcome_store,
-            "--host": args.host,
-            "--port": args.port,
-            "--stdin": args.stdin,
-            "--rule": args.rule,
-            "--state": args.state,
-            "--queue-capacity": args.queue_capacity,
-            "--metrics": args.metrics,
-            "--tournament": args.tournament,
-        },
-    )
-    if error:
-        hint = " (caches live on the server; see 'protemp serve')" if (
-            args.table_cache_dir or args.outcome_store
-        ) else ""
-        print(f"{error}{hint}", file=sys.stderr)
-        return 2
-    if args.config is None:
-        print("protemp submit: a scenario config JSON path is required",
-              file=sys.stderr)
-        return 2
-    if args.stores:
-        print("protemp submit: takes a single config "
-              f"(unexpected arguments: {args.stores})", file=sys.stderr)
-        return 2
     path = Path(args.config)
     if not path.exists():
         print(f"protemp submit: no such scenario config: {args.config}",
@@ -928,32 +653,7 @@ def _check_command(args: argparse.Namespace) -> int:
     from repro.devtools.check import render_json, render_text, run_check
     from repro.errors import DevtoolsError
 
-    error = _reject_foreign_flags(
-        "check",
-        args,
-        {
-            "--duration": args.duration,
-            "--workers": args.workers,
-            "--table-cache-dir": args.table_cache_dir,
-            "--shard": args.shard,
-            "--outcome-store": args.outcome_store,
-            "--output": args.output,
-            "--host": args.host,
-            "--port": args.port,
-            "--stdin": args.stdin,
-            "--url": args.url,
-            "--state": args.state,
-            "--idempotency-key": args.idempotency_key,
-            "--priority": args.priority,
-            "--queue-capacity": args.queue_capacity,
-            "--metrics": args.metrics,
-            "--tournament": args.tournament,
-        },
-    )
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    paths = ([args.config] if args.config else []) + list(args.stores)
+    paths = args.paths
     if not paths:
         if not Path("src").is_dir():
             print(
@@ -985,36 +685,7 @@ def _report_command(args: argparse.Namespace) -> int:
     from repro.observability.report import build_report, render_report
     from repro.errors import ServiceError
 
-    error = _reject_foreign_flags(
-        "report",
-        args,
-        {
-            "--duration": args.duration,
-            "--workers": args.workers,
-            "--table-cache-dir": args.table_cache_dir,
-            "--shard": args.shard,
-            "--outcome-store": args.outcome_store,
-            "--output": args.output,
-            "--host": args.host,
-            "--port": args.port,
-            "--stdin": args.stdin,
-            "--url": args.url,
-            "--rule": args.rule,
-            "--idempotency-key": args.idempotency_key,
-            "--priority": args.priority,
-            "--queue-capacity": args.queue_capacity,
-        },
-    )
-    if error:
-        hint = (
-            " (did you mean a positional store path?)"
-            if args.outcome_store is not None
-            else ""
-        )
-        print(f"{error}{hint}", file=sys.stderr)
-        return 2
-    store_paths = ([args.config] if args.config else []) + list(args.stores)
-    if not store_paths and args.state is None and args.metrics is None:
+    if not args.stores and args.state is None and args.metrics is None:
         print(
             "protemp report: nothing to report — give outcome stores, "
             "--state JOURNAL, and/or --metrics SNAPSHOT",
@@ -1023,7 +694,7 @@ def _report_command(args: argparse.Namespace) -> int:
         return 2
     try:
         report = build_report(
-            stores=store_paths or None,
+            stores=args.stores or None,
             state=args.state,
             metrics=args.metrics,
             tournament=args.tournament,
@@ -1054,86 +725,51 @@ def _snapshot_plot(result) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.table_cache_dir is not None and Path(args.table_cache_dir).is_file():
-        # argparse expands the prefix `--table-cache` to this flag, so a
-        # single-file table cache path lands here too.
-        print(
-            f"protemp {args.experiment}: --table-cache-dir "
-            f"{args.table_cache_dir} is a file; give a directory of "
-            "table caches",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment == "list":
-        return _list_command(args.json)
+def _experiment_command(args: argparse.Namespace) -> int:
+    """``protemp <figN> | calibration | table``: one paper experiment.
+
+    Each branch reads only the flags its command takes (see
+    :data:`_COMMANDS`).
+    """
     started = time.time()
-    if args.experiment == "run":
-        code = _run_command(args)
-        print(f"[run finished in {time.time() - started:.1f}s]",
-              file=sys.stderr)
-        return code
-    if args.experiment == "tournament":
-        code = _tournament_command(args)
-        print(f"[tournament finished in {time.time() - started:.1f}s]",
-              file=sys.stderr)
-        return code
-    if args.experiment == "merge":
-        return _merge_command(args)
-    if args.experiment == "migrate":
-        return _migrate_command(args)
-    if args.experiment == "serve":
-        return _serve_command(args)
-    if args.experiment == "submit":
-        return _submit_command(args)
-    if args.experiment == "check":
-        return _check_command(args)
-    if args.experiment == "report":
-        return _report_command(args)
-    if args.config is not None or args.stores:
-        print(f"protemp {args.experiment}: unexpected positional arguments",
-              file=sys.stderr)
-        return 2
+    name = args.command
     platform = make_platform()
-    runner = ScenarioRunner(table_cache_dir=args.table_cache_dir)
-    runner.prime_platform(NIAGARA_SPEC, platform)
 
     def table():
+        runner = ScenarioRunner(table_cache_dir=args.table_cache_dir)
+        runner.prime_platform(NIAGARA_SPEC, platform)
         return runner.table(NIAGARA_SPEC, PROTEMP_SPEC)[0]
 
-    duration = args.duration
-    if args.experiment == "fig1":
+    if name == "fig1":
         result = run_snapshot(
-            "basic", duration=duration or 60.0, seed=args.seed,
+            "basic", duration=args.duration or 60.0, seed=args.seed,
             platform=platform,
         )
         print(result.text())
         print(_snapshot_plot(result))
-    elif args.experiment == "fig2":
+    elif name == "fig2":
         result = run_snapshot(
-            "protemp", duration=duration or 60.0, seed=args.seed,
+            "protemp", duration=args.duration or 60.0, seed=args.seed,
             platform=platform, table=table(),
         )
         print(result.text())
         print(_snapshot_plot(result))
-    elif args.experiment in ("fig6a", "fig6b"):
-        kind = "mixed" if args.experiment == "fig6a" else "compute"
+    elif name in ("fig6a", "fig6b"):
+        kind = "mixed" if name == "fig6a" else "compute"
         result = run_band_comparison(
-            kind, duration=duration or 40.0, seed=args.seed,
+            kind, duration=args.duration or 40.0, seed=args.seed,
             platform=platform, table=table(),
         )
         print(result.text())
-    elif args.experiment == "fig7":
+    elif name == "fig7":
         result = run_waiting_comparison(
-            duration=duration or 40.0, seed=args.seed,
+            duration=args.duration or 40.0, seed=args.seed,
             platform=platform, table=table(),
         )
         print(result.text())
-    elif args.experiment == "fig8":
+    elif name == "fig8":
         result = run_gradient_timeseries(
-            duration=duration or 60.0, seed=args.seed,
+            duration=args.duration or 60.0, seed=args.seed,
             platform=platform, table=table(),
         )
         print(result.text())
@@ -1145,23 +781,142 @@ def main(argv: list[str] | None = None) -> int:
                 x_label="time (s)",
             )
         )
-    elif args.experiment == "fig9":
+    elif name == "fig9":
         print(run_feasibility_sweep(platform=platform).text())
-    elif args.experiment == "fig10":
+    elif name == "fig10":
         print(run_per_core_frequency(platform=platform).text())
-    elif args.experiment == "fig11":
+    elif name == "fig11":
         result = run_assignment_effect(
-            duration=duration or 40.0, seed=args.seed,
+            duration=args.duration or 40.0, seed=args.seed,
             platform=platform, table=table(),
         )
         print(result.text())
-    elif args.experiment == "calibration":
+    elif name == "calibration":
         print(format_report(calibration_report(platform), platform.core_names))
-    elif args.experiment == "table":
+    elif name == "table":
         print(table().format())
-    print(f"[{args.experiment} finished in {time.time() - started:.1f}s]",
+    print(f"[{name} finished in {time.time() - started:.1f}s]",
           file=sys.stderr)
     return 0
+
+
+class _Command(NamedTuple):
+    """One ``protemp`` command: its handler and what it accepts."""
+
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...] = ()
+    positionals: tuple[tuple[str, dict[str, Any]], ...] = ()
+
+
+_experiment = partial(_Command, _experiment_command)
+_SIM = ("--duration", "--seed")
+_FIGURE = _SIM + ("--table-cache-dir",)
+_GRID = ("--workers", "--table-cache-dir", "--shard", "--outcome-store", "--json")
+_CONFIG = (("config", dict(help="scenario config JSON file")),)
+
+#: Every command, with exactly the positionals and flags its handler reads.
+_COMMANDS: dict[str, _Command] = {
+    "fig1": _experiment("Figure 1: Basic-DFS temperature snapshot", _SIM),
+    "fig2": _experiment("Figure 2: Pro-Temp temperature snapshot", _FIGURE),
+    "fig6a": _experiment("Figure 6a: time in bands, mixed workload", _FIGURE),
+    "fig6b": _experiment("Figure 6b: time in bands, compute workload", _FIGURE),
+    "fig7": _experiment("Figure 7: normalized task waiting time", _FIGURE),
+    "fig8": _experiment("Figure 8: spatial gradient time series", _FIGURE),
+    "fig9": _experiment("Figure 9: uniform vs per-core feasible frequency"),
+    "fig10": _experiment("Figure 10: per-core frequencies"),
+    "fig11": _experiment("Figure 11: temperature-aware assignment", _FIGURE),
+    "calibration": _experiment("thermal-model calibration report"),
+    "table": _experiment(
+        "the Phase-1 frequency table (paper Figure 4)", ("--table-cache-dir",)
+    ),
+    "run": _Command(
+        _run_command, "execute a scenario config's grid", _GRID, _CONFIG
+    ),
+    "tournament": _Command(
+        _tournament_command, "rank a config's policies head to head", _GRID,
+        _CONFIG,
+    ),
+    "merge": _Command(
+        _merge_command, "union outcome stores", ("--output", "--json"),
+        (("stores", dict(nargs="+", metavar="STORE", help="a store")),),
+    ),
+    "migrate": _Command(
+        _migrate_command, "copy an outcome store onto another backend",
+        ("--json",),
+        (("src", dict(help="source store")),
+         ("dst", dict(help="destination store"))),
+    ),
+    "serve": _Command(
+        _serve_command, "run the long-lived scenario service",
+        ("--workers", "--table-cache-dir", "--outcome-store", "--host",
+         "--port", "--stdin", "--state", "--queue-capacity"),
+    ),
+    "submit": _Command(
+        _submit_command, "stream a config through a running service",
+        ("--url", "--json", "--idempotency-key", "--priority"), _CONFIG,
+    ),
+    "check": _Command(
+        _check_command, "project-invariant static analysis",
+        ("--rule", "--json"),
+        (("paths", dict(nargs="*", metavar="PATH",
+                        help="file or directory (default: src)")),),
+    ),
+    "report": _Command(
+        _report_command, "summarize outcome stores, a journal and metrics",
+        ("--state", "--metrics", "--tournament", "--json"),
+        (("stores", dict(nargs="*", metavar="STORE", help="a store")),),
+    ),
+    "list": _Command(
+        _list_command, "show registered components and experiments",
+        ("--json",),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI argument parser: one subparser per command."""
+    parser = _HintingArgumentParser(
+        prog="protemp",
+        description=(
+            "Pro-Temp reproduction (Murali et al., DATE 2008): run the "
+            "paper's experiments, or declarative scenario grids, on "
+            "simulated multi-core platforms."
+        ),
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"protemp {package_version()}",
+    )
+    subparsers = parser.add_subparsers(
+        dest="command", metavar="command", required=True
+    )
+    for name in EXPERIMENTS + COMMANDS:
+        command = _COMMANDS[name]
+        sub = subparsers.add_parser(
+            name,
+            help=command.help,
+            description=command.help,
+            allow_abbrev=False,
+        )
+        for positional, kwargs in command.positionals:
+            sub.add_argument(positional, **kwargs)
+        for flag in command.flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(handler=command.handler)
+    parser.commands = subparsers.choices
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code (2 on usage errors)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError:
+        return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":

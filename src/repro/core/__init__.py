@@ -6,7 +6,6 @@ from repro.core.schedule import ScheduleOptimizer, ScheduleResult
 from repro.core.table import (
     FrequencyTable,
     LookupResult,
-    SweepStrategy,
     TableEntry,
     TableProvenanceWarning,
     build_frequency_table,
@@ -21,7 +20,6 @@ __all__ = [
     "ScheduleOptimizer",
     "ScheduleResult",
     "StackedConstraints",
-    "SweepStrategy",
     "TableEntry",
     "TableProvenanceWarning",
     "WindowResponse",

@@ -25,45 +25,43 @@ management unit:
    by more than the snap tolerance — the cores are shut down for the
    window (zero frequency), the maximally safe fallback.
 
-**Sweep strategies.**  :func:`build_frequency_table` drives the sweep
-through an explicit :class:`SweepStrategy`.  Every sweep first solves each
-row's feasibility boundary (one convex solve per row) and marks cells above
-it infeasible without running the full optimization; row order,
-warm-start policy and constraint pruning are independent switches on top:
+**Sweeps.**  :func:`build_frequency_table` runs one of two sweeps,
+named in :data:`SWEEPS`.  Both first solve each row's feasibility boundary
+(one convex solve per row) and mark cells above it infeasible without
+running the full optimization.
 
-* *within-row warm starts* (``warm_start``) — each row is walked from the
-  highest frequency column downward and every cell warm-starts from its
-  feasible right-neighbor's raw solver vector.  Sound because lowering
+``gen2`` is the default wherever tables are built.  It has four parts:
+
+* *within-row warm starts* — each row is walked from the highest
+  frequency column downward and every cell warm-starts from its feasible
+  right-neighbor's raw solver vector.  Sound because lowering
   ``f_target`` only loosens the sqrt average-frequency constraint, so the
   neighbor's (strictly interior) optimum stays strictly feasible and both
   phase I and the per-cell boundary pre-solve are skipped;
-* *cross-row warm starts* (``cross_row_warm_start``, requires
-  ``row_order="hot-first"``) — rows are walked hottest first and a row's
+* *cross-row warm starts* — rows are walked hottest first and a row's
   first feasible cell warm-starts from the hotter row's same-column
   optimum.  Thermal monotonicity makes that start strictly feasible for
   every temperature row (a colder start lowers every offset); only the
   pairwise-gradient offsets can move the other way, which the optimizer
   repairs by lifting the ``t_grad`` component (see
   `repro.core.protemp.ProTempOptimizer.solve`);
-* *sparse constraint pruning* (``prune_constraints``) — cells solve
-  against only the linear rows seen near-active at previous optima (most
-  thermal step rows never are), then the full stack re-checks the result:
-  any violation grows the active set and falls back to the exact path,
-  and accepted solutions are polished on the full stack at the cold
-  schedule's final barrier weight and certified there by their KKT
-  stationarity residual, so agreement with unpruned solves is preserved
-  to Newton tolerance;
-* *warm barrier schedules* (``warm_schedule``) — warm-started cells begin
-  the barrier schedule at ``m / (estimated duality gap)`` instead of
-  ``t_initial``, skipping centering stages a near-optimal start does not
-  need (the start weight is snapped to the cold schedule's geometric grid
-  so both paths finish at the same analytic center).
+* *sparse constraint pruning* — cells solve against only the linear rows
+  seen near-active at previous optima (most thermal step rows never are),
+  then the full stack re-checks the result: any violation grows the
+  active set and falls back to the exact path, and accepted solutions
+  are polished on the full stack at the cold schedule's final barrier
+  weight and certified there by their KKT stationarity residual, so
+  agreement with unpruned solves is preserved to Newton tolerance;
+* *warm barrier schedules* — warm-started cells begin the barrier
+  schedule at ``m / (estimated duality gap)`` instead of ``t_initial``,
+  skipping centering stages a near-optimal start does not need (the
+  start weight is snapped to the cold schedule's geometric grid so both
+  paths finish at the same analytic center).
 
-Three presets name the supported combinations: ``gen2`` (all four; the
-default wherever tables are built), ``warm`` (within-row warm starts only)
-and ``cold`` (none; with ``ProTempOptimizer(accelerated=False)`` it is the
-per-cell oracle the fast sweeps are checked against).  perfbench's
-``table-sweep`` workload measures gen2 against that oracle.
+``cold`` solves every cell from scratch, rows coldest first; with
+``ProTempOptimizer(accelerated=False)`` it is the per-cell oracle gen2 is
+checked against.  perfbench's ``table-sweep`` workload measures gen2
+against that oracle.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -87,6 +85,10 @@ from repro.thermal.constants import PAPER_DFS_PERIOD
 #: (Celsius) for temperature rows; scaled by ``max(1, |f|)`` for frequency
 #: columns (relative on the Hz scale).  See the module docstring.
 GRID_SNAP_TOLERANCE = 1e-9
+
+#: The Phase-1 sweeps (see the module docstring): ``gen2``, the default,
+#: and ``cold``, the per-cell oracle.
+SWEEPS = ("gen2", "cold")
 
 
 class TableProvenanceWarning(UserWarning):
@@ -156,74 +158,6 @@ class LookupResult:
     satisfied_target: float
     shutdown: bool
     demand_clamped: bool = False
-
-
-@dataclass(frozen=True)
-class SweepStrategy:
-    """Explicit Phase-1 sweep policy (see the module docstring).
-
-    Attributes:
-        row_order: ``"ascending"`` walks temperature rows cold to hot (the
-            grid order); ``"hot-first"`` walks hottest first, which
-            cross-row warm starts require.
-        warm_start: warm-start each cell from its feasible right-neighbor.
-        cross_row_warm_start: warm-start a row's leading cells from the
-            hotter row's same-column optimum (requires ``hot-first``
-            order).
-        prune_constraints: solve against the sparse near-active constraint
-            stack with a full-stack re-check, polish and KKT certificate.
-        warm_schedule: start warm-started barrier solves at an estimated-
-            gap weight instead of ``t_initial``.
-    """
-
-    row_order: Literal["ascending", "hot-first"] = "ascending"
-    warm_start: bool = True
-    cross_row_warm_start: bool = False
-    prune_constraints: bool = False
-    warm_schedule: bool = False
-
-    def __post_init__(self) -> None:
-        if self.row_order not in ("ascending", "hot-first"):
-            raise TableError(f"unknown row_order {self.row_order!r}")
-        if self.cross_row_warm_start and self.row_order != "hot-first":
-            raise TableError(
-                "cross-row warm starts require row_order='hot-first' "
-                "(a hotter row's optimum is only guaranteed feasible "
-                "for colder rows)"
-            )
-
-    @classmethod
-    def _preset_map(cls) -> dict[str, "SweepStrategy"]:
-        return {
-            "cold": cls(warm_start=False),
-            "warm": cls(),
-            "gen2": cls(
-                row_order="hot-first",
-                cross_row_warm_start=True,
-                prune_constraints=True,
-                warm_schedule=True,
-            ),
-        }
-
-    @classmethod
-    def preset(cls, name: str) -> "SweepStrategy":
-        """Named strategies: cold, warm, gen2."""
-        presets = cls._preset_map()
-        if name not in presets:
-            raise TableError(
-                f"unknown sweep strategy {name!r}; "
-                f"choose from {sorted(presets)}"
-                + did_you_mean(name, presets)
-            )
-        return presets[name]
-
-    @property
-    def preset_name(self) -> str | None:
-        """The preset this strategy equals, or None for a custom one."""
-        for name, preset in self._preset_map().items():
-            if self == preset:
-                return name
-        return None
 
 
 class FrequencyTable:
@@ -660,17 +594,17 @@ def _build_row(
     optimizer: ProTempOptimizer,
     t_start: float,
     f_grid: list[float],
-    strategy: SweepStrategy,
+    gen2: bool,
     hotter_row: dict[int, FrequencyAssignment] | None = None,
     on_cell: Callable[[], None] | None = None,
 ) -> tuple[dict[int, TableEntry], dict[int, FrequencyAssignment]]:
     """Solve one temperature row, walking frequency columns high to low.
 
     Cells above the row's feasibility boundary are marked infeasible
-    without a solve.  Walking downward lets each cell warm-start from its
-    right-neighbor's optimum; a cell without a feasible right-neighbor (the
-    row's leading feasible column) falls back to the hotter row's
-    same-column optimum when cross-row warm starts are enabled.  Returns
+    without a solve.  ``cold`` solves every other cell from scratch.
+    ``gen2`` warm-starts each cell from its right-neighbor's optimum; a
+    cell without a feasible right-neighbor (the row's leading feasible
+    column) falls back to the hotter row's same-column optimum.  Returns
     the row's assignments alongside its entries so the next (colder) row
     can warm-start from them.
     """
@@ -684,12 +618,8 @@ def _build_row(
         if f_target > boundary:
             row[fi] = _infeasible_entry(t_start, f_target, n_cores)
         else:
-            warm = prev if strategy.warm_start else None
-            if (
-                (warm is None or not warm.feasible)
-                and strategy.cross_row_warm_start
-                and hotter_row is not None
-            ):
+            warm = prev
+            if (warm is None or not warm.feasible) and hotter_row is not None:
                 hotter = hotter_row.get(fi)
                 if hotter is not None and hotter.feasible:
                     warm = hotter
@@ -697,12 +627,12 @@ def _build_row(
                 t_start,
                 f_target,
                 warm_from=warm,
-                prune=strategy.prune_constraints,
-                warm_schedule=strategy.warm_schedule,
+                prune=gen2,
+                warm_schedule=gen2,
             )
             row[fi] = TableEntry.from_assignment(assignment)
             assignments[fi] = assignment
-            prev = assignment if strategy.warm_start else None
+            prev = assignment if gen2 else None
         if on_cell is not None:
             on_cell()
     return row, assignments
@@ -713,7 +643,7 @@ def build_frequency_table(
     t_grid: list[float],
     f_grid: list[float],
     *,
-    strategy: SweepStrategy | str | None = None,
+    strategy: str | None = None,
     progress: Callable[[int, int], None] | None = None,
     provenance: dict | None = None,
     warm_start: bool | None = None,
@@ -724,38 +654,39 @@ def build_frequency_table(
         optimizer: configured :class:`ProTempOptimizer`.
         t_grid: starting temperatures (Celsius), strictly increasing.
         f_grid: average-frequency targets (Hz), strictly increasing.
-        strategy: a :class:`SweepStrategy`, a preset name (``"cold"``,
-            ``"warm"`` or ``"gen2"``), or None for the ``warm`` preset
-            (``cold`` with ``warm_start=False``).
+        strategy: the sweep, ``"gen2"`` (the default) or ``"cold"`` (see
+            the module docstring).
         progress: optional callback ``(done, total)``, called per cell.
         provenance: caller-supplied metadata merged into the table's
             metadata — the scenario runner records the platform spec
             hash and a build timestamp here (the build itself never
             reads the clock, keeping sweeps deterministic).
-        warm_start: legacy flag (default True) — maps to
-            ``SweepStrategy.warm_start``; only valid when `strategy` is
-            None.
+        warm_start: legacy flag: ``False`` spells ``"cold"``, ``True``
+            the default ``"gen2"``; only valid when `strategy` is None.
 
     Returns:
         The assembled :class:`FrequencyTable`.
 
     Raises:
-        TableError: when both `strategy` and `warm_start` are given (the
-            flag would be silently ignored otherwise — set the
-            :class:`SweepStrategy` field instead).
+        TableError: for an unknown sweep, or when both `strategy` and
+            `warm_start` are given (the flag would be silently ignored
+            otherwise).
     """
-    if strategy is None:
-        strategy = SweepStrategy(
-            warm_start=True if warm_start is None else warm_start
-        )
-    else:
-        if warm_start is not None:
+    if warm_start is not None:
+        if strategy is not None:
             raise TableError(
-                "pass sweep options either via `strategy` or via the "
-                "legacy `warm_start` keyword, not both"
+                "pass the sweep either via `strategy` or via the legacy "
+                "`warm_start` keyword, not both"
             )
-        if isinstance(strategy, str):
-            strategy = SweepStrategy.preset(strategy)
+        strategy = "gen2" if warm_start else "cold"
+    if strategy is None:
+        strategy = "gen2"
+    if strategy not in SWEEPS:
+        raise TableError(
+            f"unknown sweep strategy {strategy!r}; choose from {list(SWEEPS)}"
+            + did_you_mean(strategy, SWEEPS)
+        )
+    gen2 = strategy == "gen2"
     entries: dict[tuple[int, int], TableEntry] = {}
     total = len(t_grid) * len(f_grid)
     done = 0
@@ -766,24 +697,23 @@ def build_frequency_table(
         if progress is not None:
             progress(done, total)
 
-    order = (
-        list(reversed(range(len(t_grid))))
-        if strategy.row_order == "hot-first"
-        else list(range(len(t_grid)))
-    )
+    # gen2 walks rows hottest first so each row can warm-start from the
+    # hotter one; cold keeps the grid order.
+    order = range(len(t_grid))
     hotter: dict[int, FrequencyAssignment] | None = None
-    for ti in order:
+    for ti in reversed(order) if gen2 else order:
         row, assignments = _build_row(
             optimizer,
             t_grid[ti],
             list(f_grid),
-            strategy,
-            hotter_row=hotter if strategy.cross_row_warm_start else None,
+            gen2,
+            hotter_row=hotter,
             on_cell=tick,
         )
         for fi, entry in row.items():
             entries[(ti, fi)] = entry
-        hotter = assignments
+        if gen2:
+            hotter = assignments
     platform = optimizer.platform
     barrier = optimizer.barrier_options
     newton = barrier.newton or NewtonOptions()
@@ -794,7 +724,7 @@ def build_frequency_table(
         "t_max": platform.t_max,
         "f_max": platform.f_max,
         "p_max": platform.power.p_max,
-        "sweep_strategy": strategy.preset_name or "custom",
+        "sweep_strategy": strategy,
         "solver_gap_tol": barrier.gap_tol,
         "solver_newton_tol": newton.tol,
         "step_subsample": optimizer.response.step_subsample,

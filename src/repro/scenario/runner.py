@@ -70,11 +70,6 @@ from repro.sim.engine import (
     SimulationResult,
 )
 
-#: Sweep preset for tables whose policy spec does not pin a ``strategy``:
-#: gen2, the fastest sweep (agrees with the cold oracle to <= 1e-13).
-TABLE_STRATEGY = "gen2"
-
-
 @dataclass(frozen=True)
 class ScenarioOutcome:
     """One scenario's outcome plus provenance — executed or replayed.
@@ -608,7 +603,7 @@ class ScenarioRunner:
                         optimizer,
                         list(config["t_grid"]),
                         list(config["f_grid"]),
-                        strategy=config["strategy"] or TABLE_STRATEGY,
+                        strategy=config["strategy"],
                         progress=_tick,
                         provenance={
                             "platform_spec_hash": platform_spec.spec_hash,

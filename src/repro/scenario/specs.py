@@ -259,8 +259,9 @@ class PolicySpec:
     For table-driven policies (``"protemp"``) the params may carry the
     Phase-1 table configuration consumed by the runner, not the policy
     factory: ``mode``, ``t_grid``, ``f_grid``, ``step_subsample``,
-    ``strategy`` (a sweep preset name) and ``backend`` (``"barrier"`` or
-    ``"scipy"``).  Everything else is forwarded to the policy factory.
+    ``strategy`` (the sweep, ``"gen2"`` or ``"cold"``) and ``backend``
+    (``"barrier"`` or ``"scipy"``).  Everything else is forwarded to the
+    policy factory.
 
     ``strategy`` and ``backend`` are validated at construction — an
     unknown name fails at spec-parse time (and therefore at service
@@ -293,21 +294,19 @@ class PolicySpec:
             # Lazy: repro.core is heavy and never needed for pure spec
             # plumbing (hashing, sharding, JSON round-trips).
             from repro.core.protemp import BACKENDS
-            from repro.core.table import SweepStrategy
+            from repro.core.table import SWEEPS
 
-            if strategy is not None:
-                presets = SweepStrategy._preset_map()
-                if strategy not in presets:
-                    raise ScenarioError(
-                        f"unknown sweep strategy {strategy!r}; "
-                        f"choose from {sorted(presets)}"
-                        + did_you_mean(strategy, presets)
-                    )
+            if strategy is not None and strategy not in SWEEPS:
+                raise ScenarioError(
+                    f"unknown sweep strategy {strategy!r}; "
+                    f"choose from {list(SWEEPS)}"
+                    + did_you_mean(str(strategy), SWEEPS)
+                )
             if backend is not None and backend not in BACKENDS:
                 raise ScenarioError(
                     f"unknown solver backend {backend!r}; "
                     f"choose from {list(BACKENDS)}"
-                    + did_you_mean(backend, BACKENDS)
+                    + did_you_mean(str(backend), BACKENDS)
                 )
 
     @property

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.cli import COMMANDS, EXPERIMENTS, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -14,7 +19,7 @@ class TestParser:
         parser = build_parser()
         for exp in EXPERIMENTS:
             args = parser.parse_args([exp])
-            assert args.experiment == exp
+            assert args.command == exp
 
     def test_unknown_experiment_rejected(self):
         parser = build_parser()
@@ -31,13 +36,23 @@ class TestParser:
 
 class TestTableCacheDir:
     def test_cache_file_instead_of_directory_rejected(self, tmp_path, capsys):
-        """A file where the table-cache directory belongs (e.g. an old
-        single-file cache passed as `--table-cache FILE`) is a usage
+        """A file where the table-cache directory belongs is a usage
         error, not a traceback."""
         old_cache = tmp_path / "table.json"
         old_cache.write_text("{}")
-        assert main(["table", "--table-cache", str(old_cache)]) == 2
+        assert main(["table", "--table-cache-dir", str(old_cache)]) == 2
         assert "is a file" in capsys.readouterr().err
+
+    def test_removed_single_file_flag_points_to_dir(self, tmp_path, capsys):
+        """The removed `--table-cache FILE` is no longer expanded to
+        `--table-cache-dir` (which created a directory named FILE): it is
+        rejected with a pointer to the directory flag, creating nothing."""
+        target = tmp_path / "x.json"
+        assert main(["table", "--table-cache", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "--table-cache is not valid for 'table'" in err
+        assert "did you mean '--table-cache-dir'?" in err
+        assert not target.exists()
 
     def test_table_command_reuses_cache_dir(self, tmp_path, capsys):
         """`table` takes its table from the runner's cache: the first run
@@ -55,8 +70,16 @@ class TestTableCacheDir:
 class TestScenarioCommands:
     def test_commands_parse(self):
         parser = build_parser()
+        positionals = {
+            "run": ["c.json"],
+            "tournament": ["c.json"],
+            "merge": ["store"],
+            "migrate": ["src", "dst"],
+            "submit": ["c.json"],
+        }
         for command in COMMANDS:
-            assert parser.parse_args([command]).experiment == command
+            argv = [command, *positionals.get(command, [])]
+            assert parser.parse_args(argv).command == command
         args = parser.parse_args(
             ["run", "config.json", "--workers", "2", "--json"]
         )
@@ -221,13 +244,13 @@ class TestShardingAndStore:
     def test_run_rejects_extra_positionals(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         assert main(["run", config, "stray-arg"]) == 2
-        assert "single config" in capsys.readouterr().err
+        assert "unrecognized arguments: stray-arg" in capsys.readouterr().err
 
 
 class TestMergeCommand:
     def test_merge_requires_stores(self, capsys):
         assert main(["merge"]) == 2
-        assert "outcome-store" in capsys.readouterr().err
+        assert "required: STORE" in capsys.readouterr().err
 
     def test_merge_missing_store_reported(self, tmp_path, capsys):
         assert main(["merge", str(tmp_path / "nope")]) == 2
@@ -296,17 +319,13 @@ class TestVersionAndHints:
         assert repro.__version__ in out
 
     def test_unknown_command_exit_code_and_hint(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serv"])
-        assert excinfo.value.code == 2
+        assert main(["serv"]) == 2
         err = capsys.readouterr().err
         assert "unknown command 'serv'" in err
         assert "did you mean 'serve'?" in err
 
     def test_unknown_command_without_close_match(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["xyzzy123"])
-        assert excinfo.value.code == 2
+        assert main(["xyzzy123"]) == 2
         err = capsys.readouterr().err
         assert "unknown command 'xyzzy123'" in err
 
@@ -315,16 +334,16 @@ class TestServeSubmitFlags:
     def test_serve_and_submit_parse(self):
         parser = build_parser()
         args = parser.parse_args(["serve", "--port", "9000", "--stdin"])
-        assert args.experiment == "serve" and args.port == 9000 and args.stdin
+        assert args.command == "serve" and args.port == 9000 and args.stdin
         args = parser.parse_args(
             ["submit", "cfg.json", "--url", "http://localhost:1234"]
         )
-        assert args.experiment == "submit"
+        assert args.command == "submit"
         assert args.url == "http://localhost:1234"
 
     def test_serve_rejects_positionals_and_foreign_flags(self, capsys):
         assert main(["serve", "config.json"]) == 2
-        assert "no positional" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert main(["serve", "--url", "http://x"]) == 2
         assert "--url" in capsys.readouterr().err
 
@@ -342,7 +361,7 @@ class TestServeSubmitFlags:
             ["submit", config, "--outcome-store", str(tmp_path / "s")]
         ) == 2
         err = capsys.readouterr().err
-        assert "--outcome-store" in err and "server" in err
+        assert "--outcome-store" in err and "'serve'" in err
 
     def test_submit_unreachable_server_reported(self, tmp_path, capsys):
         config = _write_config(tmp_path)
@@ -397,6 +416,146 @@ class TestServeSubmitFlags:
             server.shutdown()
             server.server_close()
             service.drain()
+
+
+class TestUsageErrors:
+    """A flag the command does not take, or a count below one, exits 2
+    and names the flag instead of being dropped or failing later."""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["list", "--outcome-store", "X"], ["--outcome-store"]),
+            (
+                ["fig9", "--rule", "PT001", "--port", "1",
+                 "--idempotency-key", "k"],
+                ["--rule", "--port", "--idempotency-key"],
+            ),
+            (["run", "CFG", "--seed", "3"], ["--seed"]),
+            (["check", "src", "--seed", "3"], ["--seed"]),
+        ],
+    )
+    def test_foreign_flag_rejected(self, argv, flags, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for flag in flags:
+            assert f"{flag} is not valid for '{argv[0]}'" in err
+
+    def test_hint_names_the_commands_that_take_the_flag(self, capsys):
+        assert main(["list", "--outcome-store", "X"]) == 2
+        err = capsys.readouterr().err
+        assert "it belongs to 'run', 'tournament', 'serve'" in err
+        # Another command's real flag points there, not at a look-alike
+        # of this command's own (difflib pairs --seed with --shard).
+        assert main(["run", "CFG", "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "it belongs to 'fig1'" in err and "did you mean" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "CFG", "--workers", "0"],
+            ["tournament", "CFG", "--workers", "-1"],
+            # --stdin: a regression must not bind a port and block.
+            ["serve", "--stdin", "--queue-capacity", "0"],
+            ["serve", "--stdin", "--workers", "0"],
+        ],
+    )
+    def test_non_positive_counts_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        flag = argv[-2]
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+
+    def test_stdin_excludes_host_and_port(self, capsys):
+        assert main(["serve", "--stdin", "--port", "1"]) == 2
+        assert "--stdin does not take" in capsys.readouterr().err
+
+
+def _shell_lines(workflow: Path) -> list[str]:
+    """Shell command lines of a workflow's ``run:`` steps: a folded
+    (``>``) block is one line, and ``\\`` continuations are joined."""
+    lines = workflow.read_text().splitlines()
+    commands: list[str] = []
+    i = 0
+    while i < len(lines):
+        match = re.match(r"(\s*)(?:- )?run:\s*(.*)$", lines[i])
+        i += 1
+        if match is None:
+            continue
+        indent, body = len(match.group(1)), match.group(2)
+        if body[:1] not in (">", "|"):
+            commands.append(body)
+            continue
+        block = []
+        while i < len(lines) and (
+            not lines[i].strip()
+            or len(lines[i]) - len(lines[i].lstrip()) > indent
+        ):
+            block.append(lines[i].strip())
+            i += 1
+        text = "\n".join(block)
+        if body.startswith(">"):
+            text = text.replace("\n", " ")
+        commands.extend(text.replace("\\\n", " ").splitlines())
+    return commands
+
+
+def _workflow_invocations() -> list[list[str]]:
+    """The argv of every ``python -m repro`` call in the CI workflows,
+    cut at the first shell operator."""
+    argvs = []
+    for workflow in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        for line in _shell_lines(workflow):
+            _, found, rest = line.partition("python -m repro ")
+            if found:
+                argvs.append(shlex.split(re.split(r"[>|&]", rest)[0]))
+    return argvs
+
+
+WORKFLOW_INVOCATIONS = _workflow_invocations()
+
+
+def _assert_parses(argv: list[str]) -> None:
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"protemp {shlex.join(argv)} exits {exc.code}")
+
+
+class TestShippedInvocations:
+    """Every command line the repo ships still parses."""
+
+    def test_workflows_found(self):
+        commands = {argv[0] for argv in WORKFLOW_INVOCATIONS}
+        assert {
+            "check", "run", "merge", "migrate", "serve", "submit",
+            "report", "tournament",
+        } <= commands
+
+    @pytest.mark.parametrize("argv", WORKFLOW_INVOCATIONS, ids=shlex.join)
+    def test_workflow_invocation_parses(self, argv):
+        _assert_parses(argv)
+
+    def test_perfbench_server_argv_parses(self, tmp_path, monkeypatch):
+        """The argv perfbench's service-mix ``Server`` launches."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from harness import workloads
+
+        launched = []
+        monkeypatch.setattr(
+            workloads.subprocess,
+            "Popen",
+            lambda command, **kwargs: launched.append(command),
+        )
+        ctx = workloads.Context(
+            root=ROOT, seed=7, seconds=1.0, trace=False, work=tmp_path
+        )
+        workloads.Server(ctx, "server", traced=False)._log.close()
+        (command,) = launched
+        argv = command[command.index("serve"):]
+        assert "--queue-capacity" in argv
+        _assert_parses(argv)
 
 
 class TestMain:

@@ -416,13 +416,13 @@ class TestBackendSelection:
         spec = ScenarioSpec(
             policy={
                 "name": "protemp",
-                "params": {"strategy": "warm", "backend": "scipy"},
+                "params": {"strategy": "cold", "backend": "scipy"},
             }
         )
         restored = ScenarioSpec.from_dict(json.loads(spec.to_json()))
         assert restored == spec
         config = restored.policy.table_config()
-        assert config["strategy"] == "warm"
+        assert config["strategy"] == "cold"
         assert config["backend"] == "scipy"
         # Table params never leak into the policy factory.
         assert restored.policy.factory_kwargs() == {}
@@ -446,6 +446,14 @@ class TestBackendSelection:
     def test_unknown_strategy_rejected_at_parse_with_hint(self):
         with pytest.raises(ScenarioError, match="did you mean 'gen2'"):
             PolicySpec(params={"strategy": "gen22"})
+
+    @pytest.mark.parametrize("key", ["strategy", "backend"])
+    def test_non_string_table_choice_is_a_scenario_error(self, key):
+        """A JSON config's `true` or `3` is an unknown name, not a
+        TypeError from the did-you-mean lookup."""
+        for value in (True, 3, ""):
+            with pytest.raises(ScenarioError, match="unknown"):
+                PolicySpec(params={key: value})
 
     def test_unknown_backend_rejected_at_service_submit(self):
         from repro.serving import ScenarioService

@@ -57,7 +57,11 @@ _workloads = st.builds(
 _policies = st.builds(
     PolicySpec,
     name=st.sampled_from(["no-tc", "basic-dfs", "protemp"]),
-    params=_param_dicts,
+    # `strategy` and `backend` are checked against their few valid names
+    # at construction (TestBackendSelection covers them).
+    params=_param_dicts.filter(
+        lambda params: not {"strategy", "backend"} & params.keys()
+    ),
 )
 _sensors = st.builds(
     SensorSpec,

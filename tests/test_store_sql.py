@@ -390,7 +390,7 @@ class TestMigrateCommand:
 
     def test_migrate_usage_errors(self, tmp_path, capsys):
         assert main(["migrate"]) == 2
-        assert "source and a destination" in capsys.readouterr().err
+        assert "required: src, dst" in capsys.readouterr().err
         assert main(["migrate", "a", "b", "c"]) == 2
 
     def test_run_replays_warm_from_migrated_sqlite(

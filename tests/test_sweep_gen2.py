@@ -10,11 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import (
-    ProTempOptimizer,
-    SweepStrategy,
-    build_frequency_table,
-)
+from repro.core import ProTempOptimizer, build_frequency_table
 from repro.errors import TableError
 from repro.units import mhz
 
@@ -54,17 +50,19 @@ def assert_matches_cold(cold, other, rtol=1e-9):
 
 
 class TestStrategyValidation:
-    def test_unknown_preset_rejected(self):
+    def test_unknown_preset_rejected(self, small_platform):
+        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
         with pytest.raises(TableError, match="unknown sweep strategy"):
-            SweepStrategy.preset("turbo")
+            build_frequency_table(
+                optimizer, [85.0], [mhz(300)], strategy="turbo"
+            )
 
-    def test_unknown_preset_has_hint(self):
+    def test_unknown_preset_has_hint(self, small_platform):
+        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
         with pytest.raises(TableError, match="did you mean 'gen2'"):
-            SweepStrategy.preset("gen22")
-
-    def test_cross_row_requires_hot_first(self):
-        with pytest.raises(TableError, match="hot-first"):
-            SweepStrategy(cross_row_warm_start=True)
+            build_frequency_table(
+                optimizer, [85.0], [mhz(300)], strategy="gen22"
+            )
 
     def test_strategy_and_legacy_kwargs_conflict(self, small_platform):
         """Legacy flags must not be silently ignored next to a strategy."""
@@ -90,6 +88,11 @@ class TestStrategyValidation:
         assert table.feasibility_matrix().shape == (1, 2)
         assert table.metadata["sweep_strategy"] == "cold"
 
+    def test_bare_call_builds_gen2(self, small_platform):
+        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
+        table = build_frequency_table(optimizer, [85.0], [mhz(300)])
+        assert table.metadata["sweep_strategy"] == "gen2"
+
 
 class TestGen2Agreement:
     def test_gen2_matches_cold(self, small_platform, cold_table):
@@ -102,21 +105,6 @@ class TestGen2Agreement:
             strategy="gen2",
         )
         assert_matches_cold(cold_table, gen2)
-
-    def test_gen2_strategy_object(self, small_platform, cold_table):
-        """Strategy fields can be toggled individually."""
-        table = build_frequency_table(
-            ProTempOptimizer(small_platform, step_subsample=10),
-            T_GRID,
-            F_GRID,
-            strategy=SweepStrategy(
-                row_order="hot-first",
-                cross_row_warm_start=True,
-                prune_constraints=False,
-                warm_schedule=True,
-            ),
-        )
-        assert_matches_cold(cold_table, table)
 
     def test_pruned_solve_matches_plain(self, small_platform):
         """A pruned+polished warm solve equals the plain warm solve."""

@@ -326,35 +326,6 @@ class TestBuild:
         assert pruned.feasibility_matrix().tolist() == [full]
         assert not all(full)  # the boundary prunes something
 
-    def test_warm_matches_cold(self, small_platform):
-        """Warm-started sweeps agree with cold per-cell solves everywhere:
-        same feasibility decision at every grid cell, and frequencies of
-        feasible cells within 1e-6 relative."""
-        t_grid = [70.0, 85.0, 95.0]
-        f_grid = [mhz(200), mhz(500), mhz(800), mhz(1000)]
-        cold = build_frequency_table(
-            ProTempOptimizer(
-                small_platform, step_subsample=10, accelerated=False
-            ),
-            t_grid, f_grid, warm_start=False,
-        )
-        warm = build_frequency_table(
-            ProTempOptimizer(small_platform, step_subsample=10),
-            t_grid, f_grid,
-        )
-        assert np.array_equal(
-            cold.feasibility_matrix(), warm.feasibility_matrix()
-        )
-        for key, cold_entry in cold.entries.items():
-            if not cold_entry.feasible:
-                continue
-            np.testing.assert_allclose(
-                np.array(warm.entries[key].frequencies),
-                np.array(cold_entry.frequencies),
-                rtol=1e-6,
-                err_msg=f"cell {key}",
-            )
-
     def test_row_guarantee_against_simulation(self, small_platform):
         """Every feasible cell's frequencies must hold t <= t_max when
         simulated from the cell's start temperature."""
